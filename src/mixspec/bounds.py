@@ -10,7 +10,13 @@ one-sided Chebyshev inequality applied to Pr[X = |V''|] yields
 
     ic(G) <= sigma^2 / (sigma^2 + (|V''| - mu)^2) * 2^{|V'|}.
 
-All arithmetic is exact rational.
+All four variants share this one finishing formula.  The min-degree, regular
+and strongly regular ones differ from the general bound only in the closed-form
+mu and, for strongly regular graphs, the V'' pair total; ``verify``'s
+specialized-bounds check cross-checks them against the general bound.
+
+All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
+beyond the double range.
 """
 
 from __future__ import annotations
@@ -36,12 +42,6 @@ ORACLE_CAP = 22
 
 class InapplicableError(ValueError):
     """Raised when a graph violates a bound's hypotheses."""
-
-
-def _comb0(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def alpha(g: Graph, stats: NeighborhoodStats, v: int, w: int, i: int, j: int) -> Fraction:
@@ -141,19 +141,40 @@ class BoundReport:
             "v_prime_size": self.v_prime_size,
             "v_double_prime_size": self.v_double_prime_size,
             "isolated_count": self.isolated_count,
-            "mu": {"num": str(self.mu.numerator), "den": str(self.mu.denominator)},
-            "sigma_sq": {
-                "num": str(self.sigma_sq.numerator),
-                "den": str(self.sigma_sq.denominator),
-            },
-            "upper_bound": {
-                "num": str(self.upper_bound.numerator),
-                "den": str(self.upper_bound.denominator),
-            },
-            "upper_bound_decimal": float(self.upper_bound),
+            "mu": _rational(self.mu),
+            "sigma_sq": _rational(self.sigma_sq),
+            "upper_bound": _rational(self.upper_bound),
+            "upper_bound_decimal": _float_or_none(self.upper_bound),
             "exact": self.exact,
             "exact_ic": str(self.exact_ic) if self.exact_ic is not None else None,
         }
+
+
+def _rational(x: Fraction) -> dict:
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _float_or_none(x: Fraction) -> float | None:
+    """The nearest double, or None when x lies beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _finish(
+    variant: str, mu: Fraction, pair_total: Fraction, vpp: int, v_prime: int, isolated: int = 0
+) -> BoundReport:
+    """The one-sided Chebyshev bound that every variant ends in.
+
+    ``pair_total`` is sum_{v != w} E[I_v I_w] over V'', so sigma^2 = E[X^2] - mu^2
+    = mu + pair_total - mu^2; the bound is scaled to 2^{|V'| + #isolated}.
+    """
+    sigma_sq = mu + pair_total - mu * mu
+    gap = vpp - mu
+    size = v_prime + isolated
+    upper = sigma_sq / (sigma_sq + gap * gap) * (1 << size)
+    return BoundReport(variant, True, "", size, vpp, isolated, mu, sigma_sq, upper)
 
 
 def _rejection(g: Graph) -> str | None:
@@ -188,35 +209,27 @@ def bound_general(g: Graph) -> BoundReport:
     iso = g.vertex_count - len(non_isolated)
     core, _ = induced_subgraph(g, non_isolated)
     stats = neighborhood_stats(core)
-    vp = len(stats.v_prime) + iso
+    vp = len(stats.v_prime)
     vpp = len(stats.v_double_prime)
-    scale = Fraction(1 << iso)
     if vpp == 0:
         return BoundReport(
             "general",
             True,
             "V'' is empty: every semi-random coloring is integrated",
-            v_prime_size=vp,
-            v_double_prime_size=0,
+            v_prime_size=vp + iso,
             isolated_count=iso,
-            upper_bound=scale * (1 << len(stats.v_prime)),
+            upper_bound=Fraction(1 << (vp + iso)),
             exact=True,
         )
     mu = _mu_general(core, stats)
-    sigma_sq = mu + _pair_sum(core, stats) - mu * mu
-    gap = Fraction(vpp) - mu
-    upper = sigma_sq / (sigma_sq + gap * gap) * (1 << len(stats.v_prime)) * scale
-    return BoundReport(
-        "general",
-        True,
-        "",
-        v_prime_size=vp,
-        v_double_prime_size=vpp,
-        isolated_count=iso,
-        mu=mu,
-        sigma_sq=sigma_sq,
-        upper_bound=upper,
-    )
+    return _finish("general", mu, _pair_sum(core, stats), vpp, vp, iso)
+
+
+_HYPOTHESES = {
+    "min_degree": "minimum degree below 2",
+    "regular": "graph is not regular of degree >= 2",
+    "srg": "graph is not strongly regular of degree >= 2",
+}
 
 
 def bound_specialized(g: Graph, variant: str) -> BoundReport:
@@ -227,62 +240,40 @@ def bound_specialized(g: Graph, variant: str) -> BoundReport:
     sums C(d, d/2) 2^{-d-1} over even-degree vertices; for r-regular graphs
     that is |V| R^chi(r) / 2 with R = 1 + C(r, r/2) 2^{-r} and chi the even
     indicator.  For strongly regular graphs the pair sums collapse to one
-    alpha evaluation per adjacency class.
+    alpha evaluation per adjacency class.  The rest is ``bound_general``'s
+    finishing formula.
     """
+    if variant not in _HYPOTHESES:
+        raise ValueError(f"unknown variant {variant!r}")
     n = g.vertex_count
     if variant == "min_degree":
-        if n == 0 or g.min_degree() < 2:
-            return BoundReport(variant, False, "minimum degree below 2")
-        stats = neighborhood_stats(g)
-        mu_prime = Fraction(0)
-        for v in range(n):
-            d = g.degree(v)
-            if d % 2 == 0:
-                mu_prime += Fraction(comb(d, d // 2), 1 << (d + 1))
-        mu = Fraction(n, 2) + mu_prime
-        sigma_sq = mu + _pair_sum(g, stats) - mu * mu
-        gap = Fraction(n) - 2 * mu_prime
-        upper = 4 * sigma_sq / (4 * sigma_sq + gap * gap) * (1 << n)
-        return BoundReport(
-            variant, True, "", n, n, 0, mu, sigma_sq, upper
-        )
-    if variant == "regular":
+        holds = n > 0 and g.min_degree() >= 2
+    elif variant == "regular":
         r = g.is_regular()
-        if r is None or r < 2:
-            return BoundReport(variant, False, "graph is not regular of degree >= 2")
-        stats = neighborhood_stats(g)
-        chi = 1 if r % 2 == 0 else 0
-        big_r = 1 + Fraction(comb(r, r // 2), 1 << r) if chi else Fraction(1)
-        mu = Fraction(n, 2) * big_r
-        sigma_sq = mu + _pair_sum(g, stats) - mu * mu
-        gap = (2 - big_r) * n if chi else Fraction(n)
-        upper = 4 * sigma_sq / (4 * sigma_sq + gap * gap) * (1 << n)
-        return BoundReport(
-            variant, True, "", n, n, 0, mu, sigma_sq, upper
-        )
-    if variant == "srg":
+        holds = r is not None and r >= 2
+    else:
         params = detect_srg(g)
-        if params is None or params.r < 2:
-            return BoundReport(variant, False, "graph is not strongly regular of degree >= 2")
-        stats = neighborhood_stats(g)
-        r = params.r
-        chi = 1 if r % 2 == 0 else 0
-        big_r = 1 + Fraction(comb(r, r // 2), 1 << r) if chi else Fraction(1)
-        mu = Fraction(n, 2) * big_r
-        adj_pair = _first_pair(g, adjacent=True)
-        non_pair = _first_pair(g, adjacent=False)
-        alpha_adj = alpha(g, stats, *adj_pair, 0, 1) + alpha(g, stats, *adj_pair, 1, 1)
-        alpha_non = alpha(g, stats, *non_pair, 0, 0) + alpha(g, stats, *non_pair, 1, 0)
-        pair_total = (
-            Fraction(n * r, 2) * alpha_adj + Fraction(n * (n - r - 1), 2) * alpha_non
-        )
-        sigma_sq = mu + pair_total - mu * mu
-        gap = (2 - big_r) * n if chi else Fraction(n)
-        upper = 4 * sigma_sq / (4 * sigma_sq + gap * gap) * (1 << n)
-        return BoundReport(
-            variant, True, "", n, n, 0, mu, sigma_sq, upper
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+        holds = params is not None and params.r >= 2
+    if not holds:
+        return BoundReport(variant, False, _HYPOTHESES[variant])
+    stats = neighborhood_stats(g)
+    mu = Fraction(n, 2)
+    for d in map(g.degree, range(n)):
+        if d % 2 == 0:
+            mu += Fraction(comb(d, d // 2), 1 << (d + 1))
+    pair_total = _srg_pair_total(g, stats, params.r) if variant == "srg" else _pair_sum(g, stats)
+    return _finish(variant, mu, pair_total, n, n)
+
+
+def _srg_pair_total(g: Graph, stats: NeighborhoodStats, r: int) -> Fraction:
+    """``_pair_sum`` for a strongly regular graph: one alpha pair per adjacency
+    class, weighted by the n r / 2 adjacent and n (n - r - 1) / 2 other pairs."""
+    n = g.vertex_count
+    adj_pair = _first_pair(g, adjacent=True)
+    non_pair = _first_pair(g, adjacent=False)
+    alpha_adj = alpha(g, stats, *adj_pair, 0, 1) + alpha(g, stats, *adj_pair, 1, 1)
+    alpha_non = alpha(g, stats, *non_pair, 0, 0) + alpha(g, stats, *non_pair, 1, 0)
+    return Fraction(n * r, 2) * alpha_adj + Fraction(n * (n - r - 1), 2) * alpha_non
 
 
 def _first_pair(g: Graph, adjacent: bool) -> tuple[int, int]:

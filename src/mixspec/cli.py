@@ -48,15 +48,29 @@ def _env_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise UsageError(f"MIXSPEC_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise UsageError(f"MIXSPEC_CAP must not be negative, got {cap}")
+    return cap
 
 
 def _effective_cap(args) -> int | None:
     if getattr(args, "cap", None) is not None:
         return args.cap
     return _env_cap()
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for counts and caps."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _load_graph(args) -> Graph:
@@ -226,34 +240,27 @@ def _cmd_gf(args) -> int:
 def _cmd_moments(args) -> int:
     if args.input is not None or args.family not in ("path", "cycle", None):
         g = _load_graph(args)
-        hist = mix_histogram(g, cap=_effective_cap(args))
-        total = hist.ic
-        mean = Fraction(sum(k * c for k, c in hist.counts.items()), total)
-        second = Fraction(sum(k * k * c for k, c in hist.counts.items()), total)
-        _emit_json(
-            {
-                "family": "input" if args.input is not None else args.family,
-                "n": g.vertex_count,
-                "mean": _rational(mean),
-                "variance": _rational(second - mean * mean),
-            }
-        )
-        return EXIT_OK
-    if args.family is None or args.n is None:
+        counts = mix_histogram(g, cap=_effective_cap(args)).counts
+        poly = genfunc.UPoly.of([counts.get(k, 0) for k in range(max(counts) + 1)])
+        label = "input" if args.input is not None else args.family
+        order = g.vertex_count
+    elif args.family is None or args.n is None:
         raise UsageError("moments needs --input or --family path|cycle with --n")
-    if args.n >= 8:
+    elif args.n >= 8:
         _emit_json(genfunc.clt_diagnostics(args.family, args.n).to_json_dict())
         return EXIT_OK
-    poly = (
-        genfunc.path_gf_coeff(args.n)
-        if args.family == "path"
-        else genfunc.cycle_gf_coeff(args.n)
-    )
+    else:
+        poly = (
+            genfunc.path_gf_coeff(args.n)
+            if args.family == "path"
+            else genfunc.cycle_gf_coeff(args.n)
+        )
+        label, order = args.family, args.n
     mean, variance = genfunc.pgf_moments(poly)
     _emit_json(
         {
-            "family": args.family,
-            "n": args.n,
+            "family": label,
+            "n": order,
             "mean": _rational(mean),
             "variance": _rational(variance),
         }
@@ -340,25 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream integrated colorings, one 0/1 line each")
     _add_source_flags(p)
-    p.add_argument("--cap", type=int, help="vertex cap for exhaustive search")
+    p.add_argument("--cap", type=_non_negative, help="vertex cap for exhaustive search")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("spectrum", help="exact mixing-number histogram")
     _add_source_flags(p)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_non_negative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("pmf", help="exact mixing-number distribution")
     _add_source_flags(p)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_non_negative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("sample", help="uniform random integrated colorings")
     _add_source_flags(p, families_only=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_non_negative, required=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("gf", help="generating-function coefficients for one order")
@@ -368,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact mean/variance and normal-law diagnostics")
     _add_source_flags(p)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_non_negative)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bound", help="second-moment upper bounds on the coloring count")
     _add_source_flags(p)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_non_negative)
     p.add_argument(
         "--variant",
         choices=["general", "min-degree", "regular", "srg", "auto"],

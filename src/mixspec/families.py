@@ -108,12 +108,11 @@ class FamilyPmf:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.masses))
 
-    def mean(self) -> Fraction:
-        return sum((Fraction(k) * p for k, p in self.masses.items()), Fraction(0))
 
-    def variance(self) -> Fraction:
-        mu = self.mean()
-        return sum((Fraction(k * k) * p for k, p in self.masses.items()), Fraction(0)) - mu * mu
+def _family_pmf(family: str, n: int, total: int, counts: dict[int, int]) -> FamilyPmf:
+    masses = {mix: Fraction(c, total) for mix, c in counts.items()}
+    assert sum(masses.values()) == 1
+    return FamilyPmf(family, n, total, masses)
 
 
 def path_mix_count(n: int, k: int) -> int:
@@ -129,15 +128,17 @@ def path_pmf(n: int) -> FamilyPmf:
     """
     if n < 2:
         raise ValueError("need at least one edge")
-    total = ic_path(n)
-    lo = (n - 1 + 1) // 2  # ceil((n-1)/2)
-    masses = {}
-    for k in range(lo, n):
-        cnt = path_mix_count(n, k)
-        if cnt:
-            masses[k] = Fraction(cnt, total)
-    assert sum(masses.values()) == 1
-    return FamilyPmf("path", n, total, masses)
+    weights, total = _path_weights(n)
+    return _family_pmf("path", n, total, dict(weights))
+
+
+def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero (k, count) pairs of P_n by balanced-edge count k, and their total."""
+    # k runs from ceil((n-1)/2) to n-1.
+    weights = [(k, c) for k in range(n // 2, n) if (c := path_mix_count(n, k))]
+    total = sum(c for _, c in weights)
+    assert total == ic_path(n)
+    return weights, total
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +174,45 @@ def cycle_count_closed_form(n: int) -> int:
     return lucas(n) + _COS_TABLE[n % 3]
 
 
+def _cycle_class_counts(n: int, k: int) -> tuple[int, int]:
+    """Integrated n-ring colorings with 2k balanced edges, split by whether
+    the edge word starts and ends with a balanced edge (bookended) or not."""
+    return 2 * comb0(2 * k - 1, n - 2 * k), 4 * comb0(2 * k - 1, n - 2 * k - 1)
+
+
 def cycle_mix_count(n: int, mix: int) -> int:
     """Number of integrated n-ring colorings with the given mixing number."""
-    if mix % 2:
-        return 0
-    k = mix // 2
-    return 2 * comb0(2 * k - 1, n - 2 * k) + 4 * comb0(2 * k - 1, n - 2 * k - 1)
+    return 0 if mix % 2 else sum(_cycle_class_counts(n, mix // 2))
 
 
 def cycle_pmf(n: int) -> FamilyPmf:
     """Distribution of the mixing number over integrated colorings of C_n.
 
     Every integrated ring coloring has an even mixing number 2k with
-    Pr[mix = 2k] = (2 C(2k-1, n-2k) + 4 C(2k-1, n-2k-1)) / ic(C_n).
+    Pr[mix = 2k] = cycle_mix_count(n, 2k) / ic(C_n).
     """
     if n < 2:
         raise ValueError("rings start at two vertices")
-    if n == 2:
-        return FamilyPmf("cycle", 2, 2, {2: Fraction(1)})
-    total = ic_cycle(n)
-    masses = {}
+    weights, total = _cycle_weights(n)
+    counts: dict[int, int] = {}
+    for k, _, w in weights:
+        counts[2 * k] = counts.get(2 * k, 0) + w
+    return _family_pmf("cycle", n, total, counts)
+
+
+def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
+    """The nonzero (k, bookended, count) classes of C_n with 2k balanced
+    edges, and their total."""
+    weights = []
     for k in range((n + 3) // 4, n // 2 + 1):
-        cnt = cycle_mix_count(n, 2 * k)
-        if cnt:
-            masses[2 * k] = Fraction(cnt, total)
-    assert sum(masses.values()) == 1
-    return FamilyPmf("cycle", n, total, masses)
+        w_book, w_mixed = _cycle_class_counts(n, k)
+        if w_book:
+            weights.append((k, True, w_book))
+        if w_mixed:
+            weights.append((k, False, w_mixed))
+    total = sum(w for _, _, w in weights)
+    assert total == ic_cycle(n)
+    return weights, total
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +307,6 @@ def _path_word_to_coloring(word: list[bool], first: int) -> Coloring:
     return tuple(colors)
 
 
-def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
-    lo = (n - 1 + 1) // 2
-    weights = [(k, path_mix_count(n, k)) for k in range(lo, n) if path_mix_count(n, k)]
-    return weights, sum(w for _, w in weights)
-
-
 def _sample_path_once(n: int, weights: list[tuple[int, int]], total: int, rng: _SplitMix64) -> Coloring:
     ticket = rng.randbelow(total)
     k = weights[-1][0]
@@ -325,21 +333,8 @@ def sample_path(n: int, seed: int, count: int) -> Iterator[Coloring]:
     if n < 2:
         raise ValueError("need at least one edge")
     weights, total = _path_weights(n)
-    assert total == ic_path(n)
     for index in range(count):
         yield _sample_path_once(n, weights, total, _SplitMix64(_splitmix64(seed, index)))
-
-
-def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
-    weights = []
-    for k in range((n + 3) // 4, n // 2 + 1):
-        w_book = 2 * comb0(2 * k - 1, n - 2 * k)
-        w_mixed = 4 * comb0(2 * k - 1, n - 2 * k - 1)
-        if w_book:
-            weights.append((k, True, w_book))
-        if w_mixed:
-            weights.append((k, False, w_mixed))
-    return weights, sum(w for _, _, w in weights)
 
 
 def _sample_cycle_once(
@@ -377,7 +372,6 @@ def sample_cycle(n: int, seed: int, count: int) -> Iterator[Coloring]:
     if n < 3:
         raise ValueError("simple rings start at three vertices")
     weights, total = _cycle_weights(n)
-    assert total == ic_cycle(n)
     for index in range(count):
         yield _sample_cycle_once(n, weights, total, _SplitMix64(_splitmix64(seed, index)))
 

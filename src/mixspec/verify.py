@@ -112,7 +112,7 @@ def check_sum_identities(max_n: int = 64) -> CheckResult:
     failures = []
     for n in range(2, max_n + 1):
         lo = (n + 1 - 1) // 2  # ceil((n-1)/2)
-        path_sum = sum(2 * families.comb0(k - 1, n - k - 1) for k in range(lo, n))
+        path_sum = sum(families.path_mix_count(n, k) for k in range(lo, n))
         if path_sum != families.ic_path(n):
             failures.append(f"path sum n={n}: {path_sum} != {families.ic_path(n)}")
         cycle_sum = sum(

@@ -17,6 +17,7 @@ from mixspec.bounds import (
 from mixspec.corpus import random_corpus
 from mixspec.enumeration import mix_histogram
 from mixspec.graph import (
+    biclique_graph,
     build_graph,
     complete_graph,
     cube_graph,
@@ -194,6 +195,47 @@ def test_specialized_rejections():
     assert not bound_specialized(cube_graph(), "srg").applicable
     with pytest.raises(ValueError):
         bound_specialized(cycle_graph(4), "nope")
+
+
+def _corollary_mu(n: int, r: int) -> Fraction:
+    """n R^chi(r) / 2 with R = 1 + C(r, r/2) 2^{-r} and chi the even indicator."""
+    big_r = 1 + Fraction(math.comb(r, r // 2), 1 << r) if r % 2 == 0 else Fraction(1)
+    return Fraction(n, 2) * big_r
+
+
+_ALL_COROLLARIES = ("min_degree", "regular", "srg")
+# C_4 = K_{2,2} and C_5 are the strongly regular cycles.
+COROLLARY_GRAPHS = [
+    (f"C_{n}", cycle_graph(n), _ALL_COROLLARIES if n in (4, 5) else ("min_degree", "regular"))
+    for n in range(3, 41)
+] + [
+    ("K_3,3", biclique_graph(3, 3), _ALL_COROLLARIES),
+    ("K_4,4", biclique_graph(4, 4), _ALL_COROLLARIES),
+    ("cube", cube_graph(), ("min_degree", "regular")),
+    ("petersen", petersen_graph(), _ALL_COROLLARIES),
+    # Minimum degree 2, with degrees 2, 3 and 4.
+    ("mixed", build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 4), (4, 5), (5, 1)]),
+     ("min_degree",)),
+]
+
+
+@pytest.mark.parametrize("g, variants", [pytest.param(g, v, id=name) for name, g, v in COROLLARY_GRAPHS])
+def test_corollary_forms_match_general(g, variants):
+    general = bound_general(g)
+    applicable = []
+    for variant in _ALL_COROLLARIES:
+        report = bound_specialized(g, variant)
+        if not report.applicable:
+            continue
+        applicable.append(variant)
+        assert (report.mu, report.sigma_sq, report.upper_bound) == (
+            general.mu,
+            general.sigma_sq,
+            general.upper_bound,
+        )
+        if variant != "min_degree":
+            assert report.mu == _corollary_mu(g.vertex_count, g.is_regular())
+    assert tuple(applicable) == variants
 
 
 def test_chebyshev_gap_positive():

@@ -190,6 +190,31 @@ def test_cap_flag_and_env(capsys, monkeypatch, feed_stdin):
     assert code == 0
 
 
+def test_negative_count_and_caps_exit2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "sample", "--family", "path", "--n", "5", "--seed", "1", "--count", "-1")
+    assert (code, out) == (2, "") and "negative" in err
+    code, out, err = run_cli(capsys, "spectrum", "--family", "path", "--n", "10", "--cap", "-1")
+    assert (code, out) == (2, "") and "negative" in err
+    monkeypatch.setenv("MIXSPEC_CAP", "-3")
+    code, out, err = run_cli(capsys, "spectrum", "--family", "path", "--n", "10")
+    assert (code, out) == (2, "") and "MIXSPEC_CAP" in err
+
+
+def test_bound_beyond_double_range(capsys, feed_stdin):
+    # A 1100-vertex spine with two pendant legs on each spine vertex: V'' is
+    # empty and the bound is exactly 2^1100, past the largest double.
+    spine = 1100
+    edges = [f"{i} {i + 1}" for i in range(spine - 1)]
+    edges += [f"{i} {spine + 2 * i + k}" for i in range(spine) for k in range(2)]
+    feed_stdin("\n".join(edges) + "\n")
+    code, out, err = run_cli(capsys, "bound", "--variant", "general", "--input", "-")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["exact"] is True
+    assert data["upper_bound"] == {"num": str(2**spine), "den": "1"}
+    assert data["upper_bound_decimal"] is None
+
+
 def test_biclique_family(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "biclique", "--m", "2", "--n", "2")
     assert code == 0
