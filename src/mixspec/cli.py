@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import families, genfunc, verify
-from .enumeration import CapExceededError, enumerate_integrated, mix_histogram
+from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError, enumerate_integrated, mix_histogram
 from .graph import (
     Graph,
     biclique_graph,
@@ -70,6 +70,14 @@ def _non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _verify_order(text: str) -> int:
+    """argparse type for ``verify --max-n``: an order the enumerator accepts."""
+    value = _non_negative(text)
+    if not 1 <= value <= DEFAULT_VERTEX_CAP:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {DEFAULT_VERTEX_CAP}, got {value}")
     return value
 
 
@@ -392,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p.add_argument("--random-count", type=int, default=100, dest="random_count")
+    p.add_argument("--max-n", type=_verify_order, default=12, dest="max_n")
+    p.add_argument("--random-count", type=_non_negative, default=100, dest="random_count")
     p.set_defaults(func=_cmd_verify)
 
     return parser

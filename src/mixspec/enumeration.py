@@ -1,9 +1,14 @@
 """Exhaustive enumeration of integrated colorings for arbitrary graphs.
 
 This module is the brute-force oracle that validates the closed-form counts,
-distributions, and bounds elsewhere in the package.  The search is a
-backtracking scan in vertex-id order that yields colorings in lexicographic
-order (black before white).
+distributions, and bounds elsewhere in the package.  One iterative search
+kernel, ``_search``, serves ``enumerate_integrated`` and ``mix_histogram``.
+Its explicit stack is the ``colors`` list, so depth is bounded by memory,
+not by Python's recursion limit: a raised cap can go well past 1000 vertices
+on graphs whose search stays small.  Every leaf passes a guard that ignores
+the search's incremental counters and recomputes each vertex's mix from
+bitmasks, so a pruning bug could cost time but never emit a wrong coloring.
+``max_cut`` walks the 2^(n-1) splits in Gray-code order (``_gray_cuts``).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import BLACK, WHITE, Coloring, Graph, is_integrated, mix_of_coloring
+from .graph import BLACK, WHITE, Coloring, Graph
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -29,55 +34,89 @@ def _check_cap(g: Graph, cap: int | None) -> None:
         )
 
 
-def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]:
-    """Yield every integrated coloring exactly once, in lexicographic order.
+def _masks(g: Graph) -> list[int]:
+    """Adjacency as bitmasks: bit w of ``masks[v]`` is set when v ~ w."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+
+
+def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
+    """Yield every integrated coloring with its mixing number, lexicographically.
 
     A partial assignment is pruned as soon as some assigned vertex v can no
     longer reach mix(v) >= deg(v)/2 even if all its unassigned neighbors turn
     out opposite.  Unassigned vertices can always pick the minority color of
-    their already-assigned neighbors, so only assigned vertices can fail.
-    A full integration check guards every leaf, so a pruning bug could cost
-    time but never emit a wrong coloring.
+    their already-assigned neighbors, so only the vertex just assigned and
+    its earlier neighbors need the test.
     """
-    _check_cap(g, cap)
     n = g.vertex_count
     if n == 0:
-        yield ()
+        yield (), 0
         return
-    deg = [g.degree(v) for v in range(n)]
-    nbrs = [sorted(g.adjacency[v]) for v in range(n)]
-    colors = [-1] * n
-    opp = [0] * n   # opposite-colored neighbors, counted once both ends are set
-    seen = [0] * n  # assigned neighbors
-
-    def viable(v: int) -> bool:
-        return 2 * (opp[v] + deg[v] - seen[v]) >= deg[v]
-
-    def search(v: int) -> Iterator[Coloring]:
-        if v == n:
-            candidate = tuple(colors)
-            if is_integrated(g, candidate)[0]:
-                yield candidate
-            return
-        for color in (BLACK, WHITE):
-            colors[v] = color
-            gained = 0
-            for w in nbrs[v]:
-                seen[w] += 1
-                if colors[w] >= 0 and colors[w] != color:
-                    opp[w] += 1
-                    gained += 1
-            opp[v] = gained
-            if viable(v) and all(viable(w) for w in nbrs[v] if w < v):
-                yield from search(v + 1)
-            for w in nbrs[v]:
+    adj = _masks(g)
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    earlier = [[w for w in nbrs if w < v] for v, nbrs in enumerate(g.adjacency)]
+    later = [[w for w in nbrs if w > v] for v, nbrs in enumerate(g.adjacency)]
+    full = (1 << n) - 1
+    colors = [-1] * n  # -1: not tried yet; otherwise the color in force
+    opp = [0] * n      # opposite-colored neighbors, counted once both ends are set
+    seen = [0] * n     # assigned neighbors
+    white = 0          # bitmask of white vertices
+    balanced = 0       # balanced edges among assigned vertices
+    last = n - 1
+    v = 0
+    while True:
+        color = colors[v]
+        if color >= 0:  # undo the assignment in force at v
+            for w in later[v]:
                 seen[w] -= 1
-                if colors[w] >= 0 and colors[w] != color:
+            for w in earlier[v]:
+                seen[w] -= 1
+                if colors[w] != color:
                     opp[w] -= 1
+            balanced -= opp[v]
             opp[v] = 0
-        colors[v] = -1
+            if color == WHITE:
+                white ^= 1 << v
+                colors[v] = -1
+                if v == 0:
+                    return
+                v -= 1
+                continue
+        color += 1  # BLACK (0) first, then WHITE (1)
+        colors[v] = color
+        if color == WHITE:
+            white |= 1 << v
+        for w in later[v]:
+            seen[w] += 1
+        gained = 0
+        viable = True
+        for w in earlier[v]:
+            seen[w] += 1
+            if colors[w] != color:
+                opp[w] += 1
+                gained += 1
+            if 2 * (opp[w] + deg[w] - seen[w]) < deg[w]:
+                viable = False
+        opp[v] = gained
+        balanced += gained
+        if not viable or 2 * (gained + deg[v] - seen[v]) < deg[v]:
+            continue
+        if v < last:
+            v += 1
+            continue
+        black = full ^ white
+        for cw, a, d in zip(colors, adj, deg):
+            if 2 * (a & (black if cw else white)).bit_count() < d:
+                break
+        else:
+            yield tuple(colors), balanced
 
-    yield from search(0)
+
+def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]:
+    """Yield every integrated coloring exactly once, in lexicographic order."""
+    _check_cap(g, cap)
+    for coloring, _ in _search(g):
+        yield coloring
 
 
 @dataclass(frozen=True)
@@ -105,29 +144,37 @@ class MixHistogram:
 
 def mix_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
     """Histogram of mix(C) over the full enumeration of integrated colorings."""
-    counter: Counter[int] = Counter()
-    for c in enumerate_integrated(g, cap=cap):
-        counter[mix_of_coloring(g, c)] += 1
+    _check_cap(g, cap)
+    counter: Counter[int] = Counter(mix for _, mix in _search(g))
     return MixHistogram(dict(sorted(counter.items())))
+
+
+def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield ``(white_mask, cut)`` for every split with vertex n-1 black.
+
+    Complement splits give the same cut, so fixing one vertex halves the
+    walk.  Masks come in Gray-code order: flipping v turns its ``same``
+    same-colored edges into cut edges and its other edges into uncut ones.
+    """
+    adj = _masks(g)
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    white = cut = 0
+    yield white, cut
+    for i in range(1, 1 << max(g.vertex_count - 1, 0)):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        same = (adj[v] & (white if white & bit else ~white)).bit_count()
+        cut += 2 * same - deg[v]
+        white ^= bit
+        yield white, cut
 
 
 def max_cut(g: Graph, cap: int | None = None) -> int:
     """Exact max-cut size by exhausting all 2^(n-1) splits."""
     _check_cap(g, cap)
-    n = g.vertex_count
-    edge_list = g.edges()
-    if n <= 1 or not edge_list:
+    if g.edge_count == 0:
         return 0
-    best = 0
-    # Vertex n-1 stays on the fixed side; complement splits give the same cut.
-    for mask in range(1 << (n - 1)):
-        cut = 0
-        for u, v in edge_list:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                cut += 1
-        if cut > best:
-            best = cut
-    return best
+    return max(cut for _, cut in _gray_cuts(g))
 
 
 def propp_local_search(g: Graph, start: Coloring) -> tuple[Coloring, int]:

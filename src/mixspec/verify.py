@@ -16,7 +16,14 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import families, genfunc
 from .corpus import family_corpus, random_corpus
-from .enumeration import MixHistogram, enumerate_integrated, max_cut, mix_histogram, propp_local_search
+from .enumeration import (
+    MixHistogram,
+    _gray_cuts,
+    enumerate_integrated,
+    max_cut,
+    mix_histogram,
+    propp_local_search,
+)
 from .graph import (
     BLACK,
     WHITE,
@@ -279,13 +286,9 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
 
 def _max_cut_colorings_integrated(g: Graph, cut: int) -> bool:
     n = g.vertex_count
-    if n == 0:
-        return True
-    edge_list = g.edges()
-    for mask in range(1 << (n - 1)):
-        size = sum(1 for u, v in edge_list if ((mask >> u) ^ (mask >> v)) & 1)
+    for white, size in _gray_cuts(g):
         if size == cut:
-            coloring = tuple((mask >> v) & 1 for v in range(n))
+            coloring = tuple((white >> v) & 1 for v in range(n))
             if not is_integrated(g, coloring)[0]:
                 return False
     return True

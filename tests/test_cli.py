@@ -215,6 +215,34 @@ def test_bound_beyond_double_range(capsys, feed_stdin):
     assert data["upper_bound_decimal"] is None
 
 
+def test_deep_search_past_recursion_limit(capsys, feed_stdin):
+    # The star K_{1,1500}: a 1501-level search with exactly two leaves.
+    star = "".join(f"0 {leaf}\n" for leaf in range(1, 1501))
+    feed_stdin(star)
+    code, out, err = run_cli(capsys, "spectrum", "--cap", "2000", "--input", "-")
+    assert (code, err) == (0, "")
+    assert out == '{"ic":2,"ims":[1500],"histogram":{"1500":2}}\n'
+    feed_stdin(star)
+    code, out, err = run_cli(capsys, "enumerate", "--cap", "2000", "--input", "-")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0" + "1" * 1500, "1" + "0" * 1500]
+
+
+@pytest.mark.parametrize(
+    "flags", [("--max-n", "25"), ("--max-n", "-3"), ("--random-count", "-5")]
+)
+def test_verify_rejects_bad_flags_before_checks(capsys, monkeypatch, flags):
+    from mixspec import verify
+
+    def no_checks(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_checks", no_checks)
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert (code, out) == (2, "")
+    assert flags[0] in err
+
+
 def test_biclique_family(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "biclique", "--m", "2", "--n", "2")
     assert code == 0

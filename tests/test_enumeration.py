@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,25 @@ def test_max_cut_values():
     assert max_cut(complete_graph(4)) == 4
     assert max_cut(build_graph([], 4)) == 0
     assert max_cut(petersen_graph()) == 12
+
+
+@given(graphs(max_vertices=8))
+@settings(max_examples=60, deadline=None)
+def test_histogram_matches_recount(g):
+    # The kernel's incremental mix against the O(m) recount of each coloring.
+    expected = Counter(mix_of_coloring(g, c) for c in brute_force_integrated(g))
+    assert mix_histogram(g).counts == dict(expected)
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=60, deadline=None)
+def test_max_cut_matches_brute_force(g):
+    edges = g.edges()
+    best = max(
+        sum(c[u] != c[v] for u, v in edges)
+        for c in itertools.product((BLACK, WHITE), repeat=g.vertex_count)
+    )
+    assert max_cut(g) == best
 
 
 @given(graphs(max_vertices=7))

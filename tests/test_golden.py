@@ -30,6 +30,8 @@ STDIN = {
     "edgeless": "n 3\n",
     # Degrees of both parities with minimum degree 2.
     "mixed": "0 1\n1 2\n2 3\n3 0\n0 2\n1 4\n4 5\n5 1\n",
+    # No vertices: the one (empty) coloring.
+    "empty": "n 0\n",
 }
 
 # case id -> (argv, stdin key or None, exit code, SHA-256 of stdout)
@@ -75,6 +77,10 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "gf-cycle-20-csv": ("gf --family cycle --n 20 --format csv", None, 0, "abb9692f0a96b6064a588f210eeb66cbb364a81bb9e690aabe6b022009b96123"),
     "spectrum-cube": ("spectrum --input -", "cube", 0, "4d59081db3669a1466d3b148c6d572d336f5be4f873d14b19be7253bb615d816"),
     "spectrum-biclique-csv": ("spectrum --family biclique --m 2 --n 4 --format csv", None, 0, "c449a9d3baa52f667179bc1000b50a56b227d8264c8415487d04f08eaff7b33b"),
+    "enumerate-pendants": ("enumerate --input -", "pendants", 0, "bf27b00aacef52234daff4788fdf70811bc79c99c4b6c0895151054e6bdf26ae"),
+    "enumerate-empty": ("enumerate --input -", "empty", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "spectrum-complete-9": ("spectrum --family complete --n 9", None, 0, "fde61534534d0e704981d90936a4d7ae538f0e91d56c628ba1843eb187f062ae"),
+    "spectrum-cycle-14-csv": ("spectrum --family cycle --n 14 --format csv", None, 0, "4eaa4f21f007d6a4e2b71b8e3e6c9a625ff8e21255cbe5550a7442fbcc4b7e70"),
     "enumerate-cycle-7": ("enumerate --family cycle --n 7", None, 0, "59e2f49600d3b2835469b575d237d801fa691acdd4d636d75177ffe94be40300"),
     "gen-petersen": ("gen --family petersen", None, 0, "72e81adc954f596cabfa3f4d6980ae7a61d0af14366d74efab7aa478730a7c73"),
     "gen-biclique": ("gen --family biclique --m 2 --n 3", None, 0, "f3d0faff14d86ebd3e192eca33bcc3813fe0dcdeeb772e0780354769334f7d89"),
