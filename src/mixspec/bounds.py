@@ -15,6 +15,12 @@ and strongly regular ones differ from the general bound only in the closed-form
 mu and, for strongly regular graphs, the V'' pair total; ``verify``'s
 specialized-bounds check cross-checks them against the general bound.
 
+The pair total sum_{v != w} E[I_v I_w] is sparse: I_v depends only on the
+colors of N[v] ∩ V', so V'' vertices at distance >= 3 are independent and
+E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
+probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
+pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
+
 All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
 beyond the double range.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, isqrt
 
 from .graph import (
@@ -73,43 +80,70 @@ def alpha(g: Graph, stats: NeighborhoodStats, v: int, w: int, i: int, j: int) ->
     t_w = 2 * lw - g.degree(w) - 2 * i * j
     sign = -1 if i else 1
     base_w = 2 * i * lvw
-    # Suffix sums over c for each minimum value.
-    c_suffix = [0] * (c_top + 2)
-    for c in range(c_top, -1, -1):
-        c_suffix[c] = c_suffix[c + 1] + comb(c_top, c)
+    b_tail = _tail_sums(b_top)
+    c_tail = _tail_sums(c_top)
     total = 0
     for a in range(lvw + 1):
-        ca = comb(lvw, a)
-        # 2c >= t_w - base_w - 2*sign*a
-        need = t_w - base_w - 2 * sign * a
-        c_min = max(0, (need + 1) // 2)
-        if c_min > c_top:
-            continue
-        c_part = c_suffix[c_min]
-        for b in range(b_top + 1):
-            if 2 * (a + b) >= t_v:
-                total += ca * comb(b_top, b) * c_part
+        # 2(a + b) >= t_v  and  2c >= t_w - base_w - 2*sign*a
+        b_min = max(0, (t_v - 2 * a + 1) // 2)
+        c_min = max(0, (t_w - base_w - 2 * sign * a + 1) // 2)
+        if b_min <= b_top and c_min <= c_top:
+            total += comb(lvw, a) * b_tail[b_min] * c_tail[c_min]
     return Fraction(total, 1 << (lv + lw - lvw - 2 * j))
 
 
-def _mu_general(g: Graph, stats: NeighborhoodStats) -> Fraction:
-    mu = Fraction(0)
-    for v in sorted(stats.v_double_prime):
+def _tail_sums(top: int) -> list[int]:
+    """``tail[k]`` = sum of C(top, x) over x >= k, for k = 0..top."""
+    return list(accumulate(comb(top, k) for k in range(top, -1, -1)))[::-1]
+
+
+def _integration_weights(g: Graph, stats: NeighborhoodStats) -> tuple[dict[int, int], int]:
+    """Pr[v is integrated] for each v in V'', as numerators over 2^top with
+    top = max lambda over V''.
+
+    v is integrated when at least lambda(v) - deg(v)/2 of its lambda(v) fair
+    non-pendant neighbors take the other color (its pendants always do).
+    """
+    top = max(stats.lam[v] for v in stats.v_double_prime)
+    weights = {}
+    for v in stats.v_double_prime:
         lam = stats.lam[v]
-        k_min = max(0, (2 * lam - g.degree(v) + 1) // 2)
-        mu += Fraction(sum(comb(lam, k) for k in range(k_min, lam + 1)), 1 << lam)
-    return mu
+        k_min = (2 * lam - g.degree(v) + 1) // 2
+        weights[v] = _tail_sums(lam)[k_min] << (top - lam)
+    return weights, top
+
+
+def _mu_general(g: Graph, stats: NeighborhoodStats) -> Fraction:
+    weights, top = _integration_weights(g, stats)
+    return Fraction(sum(weights.values()), 1 << top)
 
 
 def _pair_sum(g: Graph, stats: NeighborhoodStats) -> Fraction:
-    """Sum of alpha_{0,j} + alpha_{1,j} over unordered V'' pairs."""
-    members = sorted(stats.v_double_prime)
-    total = Fraction(0)
-    for a_idx, v in enumerate(members):
-        for w in members[a_idx + 1 :]:
-            j = int(g.has_edge(v, w))
-            total += alpha(g, stats, v, w, 0, j) + alpha(g, stats, v, w, 1, j)
-    return total
+    """Sum of alpha_{0,j} + alpha_{1,j} over unordered V'' pairs, which is
+    sum_{v != w} E[I_v I_w].  Pairs at distance >= 3 contribute 2 p_v p_w, so
+
+        total = (mu^2 - sum p_v^2) + sum_{v<w, dist <= 2} (alpha_0 + alpha_1 - 2 p_v p_w)
+
+    with every term an integer over 2^(2 top).
+    """
+    weights, top = _integration_weights(g, stats)
+    bits = 2 * top
+    total = sum(weights.values()) ** 2 - sum(p * p for p in weights.values())
+    adjacency = g.adjacency
+    for v, p_v in weights.items():
+        near = adjacency[v].union(*(adjacency[u] for u in adjacency[v]))
+        for w in near:
+            if w > v and w in weights:
+                j = int(w in adjacency[v])
+                a0 = _scaled(alpha(g, stats, v, w, 0, j), bits)
+                a1 = _scaled(alpha(g, stats, v, w, 1, j), bits)
+                total += a0 + a1 - 2 * p_v * weights[w]
+    return Fraction(total, 1 << bits)
+
+
+def _scaled(x: Fraction, bits: int) -> int:
+    """x * 2^bits for a dyadic x whose denominator divides 2^bits."""
+    return x.numerator << (bits + 1 - x.denominator.bit_length())
 
 
 @dataclass(frozen=True)

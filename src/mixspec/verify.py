@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import families, genfunc
@@ -195,11 +196,17 @@ def _corpus(random_count: int):
     return family_corpus(10) + random_corpus(random_count, 10)
 
 
+@lru_cache(maxsize=1)
+def _bound_corpus(random_count: int) -> tuple[tuple[str, Graph, bounds_mod.BoundReport], ...]:
+    """The corpus with each graph's general bound, computed once for the three
+    bound checks (graphs and reports are immutable, so sharing them is safe)."""
+    return tuple((name, g, bounds_mod.bound_general(g)) for name, g in _corpus(random_count))
+
+
 def check_bound_moments(random_count: int) -> CheckResult:
     failures = []
     applicable = 0
-    for name, g in _corpus(random_count):
-        report = bounds_mod.bound_general(g)
+    for name, g, report in _bound_corpus(random_count):
         if not report.applicable:
             continue
         applicable += 1
@@ -226,8 +233,8 @@ def check_bound_moments(random_count: int) -> CheckResult:
 def check_alpha_pairs(random_count: int) -> CheckResult:
     failures = []
     checked = 0
-    for name, g in _corpus(random_count):
-        if bounds_mod.bound_general(g).applicable is False:
+    for name, g, report in _bound_corpus(random_count):
+        if not report.applicable:
             continue
         if any(g.degree(v) == 0 for v in range(g.vertex_count)):
             continue
@@ -250,8 +257,7 @@ def check_alpha_pairs(random_count: int) -> CheckResult:
 def check_specialized_bounds(random_count: int) -> CheckResult:
     failures = []
     compared = 0
-    for name, g in _corpus(random_count):
-        general = bounds_mod.bound_general(g)
+    for name, g, general in _bound_corpus(random_count):
         if not general.applicable:
             continue
         if g.vertex_count and g.min_degree() >= 2:

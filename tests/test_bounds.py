@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from mixspec.bounds import (
     InapplicableError,
+    _pair_sum,
     alpha,
     bound_general,
     bound_specialized,
@@ -14,7 +16,7 @@ from mixspec.bounds import (
     pair_joint_moments,
     semirandom_oracle,
 )
-from mixspec.corpus import random_corpus
+from mixspec.corpus import family_corpus, random_corpus
 from mixspec.enumeration import mix_histogram
 from mixspec.graph import (
     biclique_graph,
@@ -62,6 +64,102 @@ def test_alpha_validation():
     p5_stats = neighborhood_stats(p5)
     with pytest.raises(InapplicableError):
         alpha(p5, p5_stats, 0, 2, 0, 0)  # endpoint 0 is outside V''
+
+
+def _alpha_nested(g, stats, v, w, i, j) -> Fraction:
+    """Reference alpha: the double loop over a and b, with a suffix sum over c."""
+    lv, lw = stats.lam[v], stats.lam[w]
+    lvw = g.mutual_degree(v, w)
+    b_top = lv - lvw - j
+    c_top = lw - lvw - j
+    t_v = 2 * lv - g.degree(v) - 2 * i * j
+    t_w = 2 * lw - g.degree(w) - 2 * i * j
+    sign = -1 if i else 1
+    base_w = 2 * i * lvw
+    c_suffix = [0] * (c_top + 2)
+    for c in range(c_top, -1, -1):
+        c_suffix[c] = c_suffix[c + 1] + math.comb(c_top, c)
+    total = 0
+    for a in range(lvw + 1):
+        ca = math.comb(lvw, a)
+        need = t_w - base_w - 2 * sign * a
+        c_min = max(0, (need + 1) // 2)
+        if c_min > c_top:
+            continue
+        c_part = c_suffix[c_min]
+        for b in range(b_top + 1):
+            if 2 * (a + b) >= t_v:
+                total += ca * math.comb(b_top, b) * c_part
+    return Fraction(total, 1 << (lv + lw - lvw - 2 * j))
+
+
+def _pair_sum_all_pairs(g, stats) -> Fraction:
+    """Reference pair sum: alpha_0 + alpha_1 over every unordered V'' pair."""
+    members = sorted(stats.v_double_prime)
+    total = Fraction(0)
+    for a_idx, v in enumerate(members):
+        for w in members[a_idx + 1 :]:
+            j = int(g.has_edge(v, w))
+            total += alpha(g, stats, v, w, 0, j) + alpha(g, stats, v, w, 1, j)
+    return total
+
+
+def _gnp(n: int, p: float, seed: int):
+    rng = random.Random(seed)
+    return build_graph([(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n)
+
+
+def _caterpillar(spine: int, legs: int):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + k) for i in range(spine) for k in range(legs)]
+    return build_graph(edges)
+
+
+# Graphs with pendants, where V'' is a proper subset of V': a one-leg
+# caterpillar (the spine ends drop out of V''), a star with a long tail, and a
+# triangle with a pendant and a tail.
+PENDANT_GRAPHS = [
+    ("caterpillar-12", _caterpillar(12, 1)),
+    ("star-tail", build_graph([(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in (0, *range(4, 12))])),
+    ("triangle-tails", build_graph([(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8)])),
+]
+# Every graph of the verify corpus with a non-empty V'', the pendant graphs,
+# and a dense and a sparse G(n, p).
+PAIR_SUM_GRAPHS = [
+    (name, g)
+    for name, g in family_corpus(10)
+    + random_corpus(100, 10)
+    + PENDANT_GRAPHS
+    + [("gnp-40", _gnp(40, 0.5, 1)), ("gnp-30-sparse", _gnp(30, 0.12, 2))]
+    if neighborhood_stats(g).v_double_prime
+]
+
+
+def test_pendant_graphs_have_v_double_prime_inside_v_prime():
+    for _, g in PENDANT_GRAPHS:
+        stats = neighborhood_stats(g)
+        assert len(stats.v_double_prime) >= 4
+        assert stats.v_double_prime < stats.v_prime
+
+
+@pytest.mark.parametrize("name, g", PAIR_SUM_GRAPHS, ids=[name for name, _ in PAIR_SUM_GRAPHS])
+def test_pair_sum_matches_all_pairs(name, g):
+    stats = neighborhood_stats(g)
+    assert _pair_sum(g, stats) == _pair_sum_all_pairs(g, stats)
+
+
+def test_alpha_matches_nested_loop():
+    checked = 0
+    for _, g in PAIR_SUM_GRAPHS:
+        stats = neighborhood_stats(g)
+        members = sorted(stats.v_double_prime)
+        for a_idx, v in enumerate(members):
+            for w in members[a_idx + 1 :]:
+                j = int(g.has_edge(v, w))
+                for i in (0, 1):
+                    assert alpha(g, stats, v, w, i, j) == _alpha_nested(g, stats, v, w, i, j)
+                    checked += 1
+    assert checked > 5000
 
 
 def test_bound_general_square():

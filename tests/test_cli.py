@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -213,6 +214,22 @@ def test_bound_beyond_double_range(capsys, feed_stdin):
     assert data["exact"] is True
     assert data["upper_bound"] == {"num": str(2**spine), "den": "1"}
     assert data["upper_bound_decimal"] is None
+
+
+@pytest.mark.parametrize("n", [5, 60, 2000])
+@pytest.mark.parametrize("variant", ["general", "regular"])
+def test_cycle_bound_closed_form(capsys, variant, n):
+    # For C_n, n >= 5: mu = 3n/4, sigma^2 = 5n/16, bound = 5 * 2^n / (n + 5).
+    code, out, err = run_cli(capsys, "bound", "--variant", variant, "--family", "cycle", "--n", str(n))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+
+    def fraction(key):
+        return Fraction(int(data[key]["num"]), int(data[key]["den"]))
+
+    assert fraction("mu") == Fraction(3 * n, 4)
+    assert fraction("sigma_sq") == Fraction(5 * n, 16)
+    assert fraction("upper_bound") == Fraction(5 * 2**n, n + 5)
 
 
 def test_deep_search_past_recursion_limit(capsys, feed_stdin):

@@ -32,6 +32,12 @@ STDIN = {
     "mixed": "0 1\n1 2\n2 3\n3 0\n0 2\n1 4\n4 5\n5 1\n",
     # No vertices: the one (empty) coloring.
     "empty": "n 0\n",
+    # A 10-vertex path with one leg per spine vertex: the two spine ends lie
+    # in V' but not in V'', and most V'' pairs are at distance >= 3.
+    "caterpillar": "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n"
+    "0 10\n1 11\n2 12\n3 13\n4 14\n5 15\n6 16\n7 17\n8 18\n9 19\n",
+    # A 12-cycle with the chords 0-6 and 3-9: minimum degree 2, not regular.
+    "chorded": "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 10\n10 11\n11 0\n0 6\n3 9\n",
 }
 
 # case id -> (argv, stdin key or None, exit code, SHA-256 of stdout)
@@ -54,6 +60,9 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "bound-general-pendants": ("bound --input - --variant general --exact", "pendants", 0, "0be68ea222ecfb7d6b208d4d7fecf8de5523172482d55a5e946b27177d746775"),
     "bound-general-empty-vpp": ("bound --input - --variant general", "empty-vpp", 0, "9dbb949d09844e429cf64fe5c3144c75b800116cdbce58838e53c021bfb20f6d"),
     "bound-general-disjoint": ("bound --input - --variant general", "disjoint", 3, "fce3e55abad5a4cb84ed5641afc2c952255248006409c243e1e69c35b8f6a562"),
+    "bound-auto-cycle60": ("bound --family cycle --n 60", None, 0, "c3c415ecf1f55d298a69361b456040cec3ea07856cddf97cf337e33610f20192"),
+    "bound-general-caterpillar": ("bound --input - --variant general", "caterpillar", 0, "761fe86e68f41ea0f5f95e3115c87806c98ee2046707c3871fbdfc36a99a6974"),
+    "bound-min-degree-chorded": ("bound --input - --variant min-degree", "chorded", 0, "ad95d5e40d62873bd73194bc3581d6eec97e9a612914ce4928c6cd8964bae236"),
     "bound-auto-mixed": ("bound --input - --variant auto", "mixed", 0, "b53fe521d494910f44e9b0bf52cc6201d05f2699162f9eb267b6466ba5e87a06"),
     "pmf-cycle-2": ("pmf --family cycle --n 2", None, 0, "0e329aa39eb6b16031b930c2d107b40a750a1eba5edcc8e3c6116af3621f0123"),
     "pmf-cycle-2-csv": ("pmf --family cycle --n 2 --format csv", None, 0, "30d03f0158373c29506d5fb04af5bf63b0358b995ef850eb96d3178b9cc83f88"),
