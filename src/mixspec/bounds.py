@@ -21,17 +21,22 @@ E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
 probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
 pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
 
+The oracle walks the 2^{|V'|} semi-random draws once and counts them by the
+subset of V'' they integrate; both oracles are sums over that one count.
+
 All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
 beyond the double range.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, isqrt
 
+from .enumeration import _masks
 from .graph import (
     Graph,
     NeighborhoodStats,
@@ -332,48 +337,46 @@ class OracleMoments:
     ex2: Fraction
 
 
-def _semirandom_scan(g: Graph, cap: int):
-    """Yield (white_mask, integrated_mask_over_vpp) for every semi-random draw."""
+def _success_masks(g: Graph, cap: int) -> tuple[Counter[int], int]:
+    """Census of all 2^{|V'|} semi-random draws: ``counts[m]`` is the number of
+    draws whose integrated V'' vertices form the bitmask m.  Also returns the
+    V'' bitmask, so a draw integrates the whole graph exactly when m equals it.
+    """
     stats = neighborhood_stats(g)
     reason = _rejection(g)
     if reason is not None:
         raise InapplicableError(reason)
-    v_prime = sorted(stats.v_prime)
-    if len(v_prime) > cap:
+    if len(stats.v_prime) > cap:
         raise InapplicableError(
-            f"|V'| = {len(v_prime)} exceeds the oracle cap {cap}"
+            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {cap}"
         )
-    vpp = sorted(stats.v_double_prime)
     n = g.vertex_count
-    nbr_mask = [0] * n
-    for v in range(n):
-        for w in g.adjacency[v]:
-            nbr_mask[v] |= 1 << w
-    deg = [g.degree(v) for v in range(n)]
-    pendant_pairs = [(p, next(iter(g.adjacency[p]))) for p in sorted(stats.pendants)]
+    adj = _masks(g)
+    deg = [mask.bit_count() for mask in adj]
+    vp = sum(1 << v for v in stats.v_prime)
+    vpp = sum(1 << v for v in stats.v_double_prime)
+    pendant_bits = [(1 << p, adj[p]) for p in sorted(stats.pendants)]
     full = (1 << n) - 1
-    for assignment in range(1 << len(v_prime)):
-        white = 0
-        for idx, v in enumerate(v_prime):
-            if (assignment >> idx) & 1:
-                white |= 1 << v
-        for p, q in pendant_pairs:
-            if not (white >> q) & 1:
-                white |= 1 << p
-        black = ~white & full
-        ok_all = True
-        ok_vpp = []
+    counts: Counter[int] = Counter()
+    draw = 0
+    while True:
+        white = draw
+        for p, q in pendant_bits:  # each pendant takes the color opposite its neighbor
+            if not white & q:
+                white |= p
+        black = full ^ white
+        ok = 0
         for v in range(n):
             opposite = black if (white >> v) & 1 else white
-            if 2 * (nbr_mask[v] & opposite).bit_count() < deg[v]:
-                ok_all = False
-                if v not in stats.v_double_prime:
-                    # Vertices outside V'' are always integrated by construction.
-                    raise AssertionError("vertex outside V'' failed integration")
-        for v in vpp:
-            opposite = black if (white >> v) & 1 else white
-            ok_vpp.append(2 * (nbr_mask[v] & opposite).bit_count() >= deg[v])
-        yield ok_all, ok_vpp
+            if 2 * (adj[v] & opposite).bit_count() >= deg[v]:
+                ok |= 1 << v
+        if full & ~(ok | vpp):
+            # Vertices outside V'' are always integrated by construction.
+            raise AssertionError("vertex outside V'' failed integration")
+        counts[ok & vpp] += 1
+        draw = (draw - vp) & vp  # the next subset of V'; 0 again after the last
+        if not draw:
+            return counts, vpp
 
 
 def semirandom_oracle(g: Graph, cap: int = ORACLE_CAP) -> OracleMoments:
@@ -383,19 +386,12 @@ def semirandom_oracle(g: Graph, cap: int = ORACLE_CAP) -> OracleMoments:
     exactly, because restriction to V' is a bijection between integrated
     colorings and integrated semi-random outcomes.
     """
-    outcomes = 0
-    good = 0
-    x_sum = 0
-    x2_sum = 0
-    for ok_all, ok_vpp in _semirandom_scan(g, cap):
-        outcomes += 1
-        if ok_all:
-            good += 1
-        x = sum(ok_vpp)
-        x_sum += x
-        x2_sum += x * x
+    counts, vpp = _success_masks(g, cap)
+    total = sum(counts.values())
+    x_sum = sum(c * m.bit_count() for m, c in counts.items())
+    x2_sum = sum(c * m.bit_count() ** 2 for m, c in counts.items())
     return OracleMoments(
-        Fraction(good, outcomes), Fraction(x_sum, outcomes), Fraction(x2_sum, outcomes)
+        Fraction(counts[vpp], total), Fraction(x_sum, total), Fraction(x2_sum, total)
     )
 
 
@@ -405,21 +401,13 @@ def pair_joint_moments(g: Graph, cap: int = ORACLE_CAP) -> dict[tuple[int, int],
     Vertex ids refer to the graph as given (which must have no isolated
     vertices for the pair ids to be meaningful alongside ``alpha``).
     """
-    stats = neighborhood_stats(g)
-    vpp = sorted(stats.v_double_prime)
-    counts: dict[tuple[int, int], int] = {
-        (v, w): 0 for i, v in enumerate(vpp) for w in vpp[i + 1 :]
+    counts, vpp = _success_masks(g, cap)
+    total = sum(counts.values())
+    pairs = combinations([v for v in range(g.vertex_count) if (vpp >> v) & 1], 2)
+    return {
+        (v, w): Fraction(sum(c for m, c in counts.items() if (m >> v) & (m >> w) & 1), total)
+        for v, w in pairs
     }
-    outcomes = 0
-    for _, ok_vpp in _semirandom_scan(g, cap):
-        outcomes += 1
-        for i, v in enumerate(vpp):
-            if not ok_vpp[i]:
-                continue
-            for jdx in range(i + 1, len(vpp)):
-                if ok_vpp[jdx]:
-                    counts[(v, vpp[jdx])] += 1
-    return {pair: Fraction(c, outcomes) for pair, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Graphs come either from ``--input <edge-list>`` ('-' for stdin) or from
 with ``--m``, petersen).  Output is deterministic: identical invocations
 produce byte-identical reports.
 
-Exit codes: 0 success, 1 failed verification checks, 2 malformed input or
-flags, 3 command inapplicable to the given graph (caps, bound hypotheses).
+Exit codes: 0 success (also when the reader of stdout closes the pipe
+early), 1 failed verification checks, 2 malformed input or flags, 3 command
+inapplicable to the given graph (caps, bound hypotheses) or out of memory.
 """
 
 from __future__ import annotations
@@ -424,6 +425,14 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"mixspec: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("mixspec: out of memory: the input is too large", file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    except BrokenPipeError:
+        # The reader closed the pipe (``mixspec enumerate ... | head -1``).
+        # Point stdout at the null device so the final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

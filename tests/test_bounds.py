@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from mixspec import bounds
 from mixspec.bounds import (
     InapplicableError,
     _pair_sum,
+    _rejection,
     alpha,
     bound_general,
     bound_specialized,
@@ -16,7 +19,7 @@ from mixspec.bounds import (
     pair_joint_moments,
     semirandom_oracle,
 )
-from mixspec.corpus import family_corpus, random_corpus
+from mixspec.corpus import family_corpus, random_corpus, standard_corpus
 from mixspec.enumeration import mix_histogram
 from mixspec.graph import (
     biclique_graph,
@@ -28,6 +31,8 @@ from mixspec.graph import (
     path_graph,
     petersen_graph,
 )
+
+from conftest import graphs
 
 
 def test_alpha_square_adjacent():
@@ -245,6 +250,140 @@ def test_oracle_counts_integrated_colorings():
         oracle = semirandom_oracle(g)
         stats = neighborhood_stats(g)
         assert oracle.prob_integrated * 2 ** len(stats.v_prime) == mix_histogram(g).ic
+
+
+def _semirandom_scan(g, cap):
+    """Reference scan: yield (all integrated, [v integrated for v in sorted V''])
+    for every semi-random draw, rebuilding each draw's white mask bit by bit."""
+    stats = neighborhood_stats(g)
+    reason = _rejection(g)
+    if reason is not None:
+        raise InapplicableError(reason)
+    v_prime = sorted(stats.v_prime)
+    if len(v_prime) > cap:
+        raise InapplicableError(
+            f"|V'| = {len(v_prime)} exceeds the oracle cap {cap}"
+        )
+    vpp = sorted(stats.v_double_prime)
+    n = g.vertex_count
+    nbr_mask = [0] * n
+    for v in range(n):
+        for w in g.adjacency[v]:
+            nbr_mask[v] |= 1 << w
+    deg = [g.degree(v) for v in range(n)]
+    pendant_pairs = [(p, next(iter(g.adjacency[p]))) for p in sorted(stats.pendants)]
+    full = (1 << n) - 1
+    for assignment in range(1 << len(v_prime)):
+        white = 0
+        for idx, v in enumerate(v_prime):
+            if (assignment >> idx) & 1:
+                white |= 1 << v
+        for p, q in pendant_pairs:
+            if not (white >> q) & 1:
+                white |= 1 << p
+        black = ~white & full
+        ok_all = True
+        ok_vpp = []
+        for v in range(n):
+            opposite = black if (white >> v) & 1 else white
+            if 2 * (nbr_mask[v] & opposite).bit_count() < deg[v]:
+                ok_all = False
+                if v not in stats.v_double_prime:
+                    # Vertices outside V'' are always integrated by construction.
+                    raise AssertionError("vertex outside V'' failed integration")
+        for v in vpp:
+            opposite = black if (white >> v) & 1 else white
+            ok_vpp.append(2 * (nbr_mask[v] & opposite).bit_count() >= deg[v])
+        yield ok_all, ok_vpp
+
+
+def _oracle_reference(g, cap):
+    outcomes = good = x_sum = x2_sum = 0
+    for ok_all, ok_vpp in _semirandom_scan(g, cap):
+        outcomes += 1
+        good += ok_all
+        x = sum(ok_vpp)
+        x_sum += x
+        x2_sum += x * x
+    return bounds.OracleMoments(
+        Fraction(good, outcomes), Fraction(x_sum, outcomes), Fraction(x2_sum, outcomes)
+    )
+
+
+def _pair_reference(g, cap):
+    vpp = sorted(neighborhood_stats(g).v_double_prime)
+    counts = {(v, w): 0 for i, v in enumerate(vpp) for w in vpp[i + 1 :]}
+    outcomes = 0
+    for _, ok_vpp in _semirandom_scan(g, cap):
+        outcomes += 1
+        for i, v in enumerate(vpp):
+            for k in range(i + 1, len(vpp)):
+                if ok_vpp[i] and ok_vpp[k]:
+                    counts[(v, vpp[k])] += 1
+    return {pair: Fraction(c, outcomes) for pair, c in counts.items()}
+
+
+def _outcome(fn, g, cap):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(g, cap)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_oracles_match_scan(g, cap=bounds.ORACLE_CAP):
+    assert _outcome(semirandom_oracle, g, cap) == _outcome(_oracle_reference, g, cap)
+    got = _outcome(pair_joint_moments, g, cap)
+    want = _outcome(_pair_reference, g, cap)
+    assert got == want
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+
+
+# The verify corpus, paths whose ends fall out of V'', and the pendant graphs.
+ORACLE_GRAPHS = (
+    standard_corpus(10, 100)
+    + [(f"path-{n}", path_graph(n)) for n in range(5, 10)]
+    + PENDANT_GRAPHS
+)
+
+
+@pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+def test_oracles_match_reference_scan(name, g):
+    _assert_oracles_match_scan(g)
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=150, deadline=None)
+def test_oracles_match_reference_scan_random(g):
+    _assert_oracles_match_scan(g)
+
+
+@pytest.mark.parametrize("g", [path_graph(2), build_graph([], 3), build_graph([(0, 1), (2, 3)])])
+def test_oracles_reject_like_reference_scan(g):
+    assert _outcome(semirandom_oracle, g, bounds.ORACLE_CAP)[0] is InapplicableError
+    _assert_oracles_match_scan(g)
+
+
+def test_oracles_cap_like_reference_scan():
+    for g in (cycle_graph(10), petersen_graph(), _caterpillar(12, 1)):
+        assert _outcome(semirandom_oracle, g, 5)[0] is InapplicableError
+        _assert_oracles_match_scan(g, cap=5)
+
+
+def test_oracle_guard_outside_v_double_prime(monkeypatch):
+    # In C_4 a vertex fails whenever both its neighbors share its color.  Drop
+    # vertex 0 from V'' so that such a failure lies outside V'': the guard must
+    # catch it rather than report wrong moments.
+    real = bounds.neighborhood_stats
+
+    def shrunk(g):
+        stats = real(g)
+        return type(stats)(stats.pendants, stats.v_prime, stats.v_double_prime - {0}, stats.lam)
+
+    monkeypatch.setattr(bounds, "neighborhood_stats", shrunk)
+    with pytest.raises(AssertionError, match="outside V''"):
+        semirandom_oracle(cycle_graph(4))
 
 
 def test_pair_joint_moments_square():

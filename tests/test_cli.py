@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixspec import cli
 from mixspec.cli import main
 
 
@@ -281,3 +290,67 @@ def test_output_determinism(capsys):
     code, a, _ = run_cli(capsys, "pmf", "--family", "cycle", "--n", "12")
     code, b, _ = run_cli(capsys, "pmf", "--family", "cycle", "--n", "12")
     assert a == b
+
+
+def test_closed_pipe_exits_0_without_traceback():
+    # ``mixspec enumerate --family path --n 24 | head -1``: the reader takes one
+    # line and closes the pipe while 57 314 colorings are still to come.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from mixspec.cli import main; sys.exit(main())",
+         "enumerate", "--family", "path", "--n", "24"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.readline()) == 25
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_out_of_memory_exit3(capsys, monkeypatch, feed_stdin):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_edge_list", exhausted)
+    feed_stdin("n 300000000\n0 1\n")
+    code, out, err = run_cli(capsys, "spectrum", "--input", "-")
+    assert (code, out) == (3, "")
+    assert err.startswith("mixspec: out of memory") and err.count("\n") == 1
+
+
+_ids = st.integers(min_value=0, max_value=13).map(str)
+_malformed = st.lists(
+    _ids | st.sampled_from(["-1", "x", "1.5", "n", "#", "99", "0x3"]), max_size=3
+).map(" ".join)
+
+
+@st.composite
+def _edge_lists(draw) -> str:
+    """Edge-list text on at most 14 vertex ids; it may carry a header and one
+    malformed line anywhere."""
+    edge = st.tuples(_ids, _ids).filter(lambda e: e[0] != e[1]).map(" ".join)
+    lines = draw(st.lists(edge, max_size=20))
+    if draw(st.booleans()):
+        lines.insert(0, "n " + draw(st.integers(min_value=0, max_value=14).map(str) | _malformed))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(_malformed))
+    return "\n".join(lines) + "\n"
+
+
+@given(verb=st.sampled_from(["spectrum", "pmf", "moments", "bound", "enumerate"]), text=_edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_on_arbitrary_edge_lists(verb, text):
+    # Well-formed or not, an edge list ends in a documented code, never in a
+    # traceback: 0 ok, 2 malformed input, 3 inapplicable.
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(text)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        old_stdin, sys.stdin = sys.stdin, stdin
+        try:
+            code = main([verb, "--input", "-"])
+        finally:
+            sys.stdin = old_stdin
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -94,6 +94,8 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "gen-petersen": ("gen --family petersen", None, 0, "72e81adc954f596cabfa3f4d6980ae7a61d0af14366d74efab7aa478730a7c73"),
     "gen-biclique": ("gen --family biclique --m 2 --n 3", None, 0, "f3d0faff14d86ebd3e192eca33bcc3813fe0dcdeeb772e0780354769334f7d89"),
     "verify-small": ("verify --max-n 6 --random-count 5", None, 0, "d82cdf4c33b0bfc87ea679cf00ad02905f09933f69b969180a0b76e0e07c0fa2"),
+    # 90 oracle graphs and 2025 V'' pairs for the semi-random oracles.
+    "verify-oracles": ("verify --max-n 8 --random-count 40", None, 0, "4019111df35c3c669c297608900e8eb0b1c44decbbb55c1c229f015b92818ad9"),
 }
 
 
