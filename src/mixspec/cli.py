@@ -168,6 +168,11 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _require_n(args) -> None:
+    if args.n is None:
+        raise UsageError("--family requires --n")
+
+
 def _family_pmf(args) -> families.FamilyPmf:
     if args.family == "path":
         return families.path_pmf(args.n)
@@ -184,8 +189,7 @@ def _cmd_pmf(args) -> int:
         numerators = dict(sorted(hist.counts.items()))
     else:
         if args.family in ("path", "cycle"):
-            if args.n is None:
-                raise UsageError("--family requires --n")
+            _require_n(args)
             pmf = _family_pmf(args)
             label, order, total = pmf.family, pmf.n, pmf.ic
             numerators = {k: int(p * total) for k, p in sorted(pmf.masses.items())}
@@ -213,24 +217,23 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.family == "path":
-        stream = families.sample_path(args.n, args.seed, args.count)
-    elif args.family == "cycle":
-        stream = families.sample_cycle(args.n, args.seed, args.count)
-    else:
+    if args.family not in ("path", "cycle"):
         raise UsageError("sample supports --family path or cycle")
-    for coloring in stream:
+    _require_n(args)
+    sampler = families.sample_path if args.family == "path" else families.sample_cycle
+    for coloring in sampler(args.n, args.seed, args.count):
         sys.stdout.write(coloring_to_string(coloring) + "\n")
     return EXIT_OK
 
 
 def _cmd_gf(args) -> int:
+    if args.family not in ("path", "cycle"):
+        raise UsageError("gf supports --family path or cycle")
+    _require_n(args)
     if args.family == "path":
         poly = genfunc.path_gf_coeff(args.n)
-    elif args.family == "cycle":
-        poly = genfunc.cycle_gf_coeff(args.n)
     else:
-        raise UsageError("gf supports --family path or cycle")
+        poly = genfunc.cycle_gf_coeff(args.n)
     if args.format == "csv":
         lines = ["power,coeff"] + [f"{k},{c}" for k, c in enumerate(poly.coeffs) if c]
         _emit("\n".join(lines))

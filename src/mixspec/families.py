@@ -133,9 +133,22 @@ def path_pmf(n: int) -> FamilyPmf:
 
 
 def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero (k, count) pairs of P_n by balanced-edge count k, and their total."""
-    # k runs from ceil((n-1)/2) to n-1.
-    weights = [(k, c) for k in range(n // 2, n) if (c := path_mix_count(n, k))]
+    """The nonzero (k, count) pairs of P_n by balanced-edge count k, and their total.
+
+    The count is 2 C(a, b) with a = k-1, b = n-k-1.  The walk starts at
+    k = n-1, where C(n-2, 0) = 1, and steps k down by one with the exact ratio
+        C(a-1, b+1) = C(a, b) (a-b)(a-b-1) / (a (b+1)),
+    one bignum multiply and one exact divide per k.  It stops where the next
+    binomial leaves its support, at k = ceil((n-1)/2).  ``path_mix_count``
+    evaluates each count on its own and is the oracle the tests compare with.
+    """
+    weights = [(n - 1, 2)]
+    a, b, c = n - 2, 0, 1
+    while a - b >= 2:
+        c = c * ((a - b) * (a - b - 1)) // (a * (b + 1))
+        a, b = a - 1, b + 1
+        weights.append((a + 1, 2 * c))
+    weights.reverse()
     total = sum(c for _, c in weights)
     assert total == ic_path(n)
     return weights, total
@@ -200,16 +213,38 @@ def cycle_pmf(n: int) -> FamilyPmf:
     return _family_pmf("cycle", n, total, counts)
 
 
+def _cycle_diagonal(n: int, shift: int) -> Iterator[tuple[int, int]]:
+    """The nonzero (k, C(2k-1, n-2k-shift)) pairs, k ascending.
+
+    Seeded with ``comb0`` at the smallest k in the support, where the
+    binomial is C(a, b) with b close to a and so cheap, then stepped k up by
+    one (a up by 2, b down by 2) with the exact ratio
+        C(a+2, b-2) = C(a, b) (a+1)(a+2) b(b-1) / ((a-b+1)(a-b+2)(a-b+3)(a-b+4)).
+    The seed is never 0, so no step divides a zero running value; the walk
+    ends where b would go negative.
+    """
+    k = (n - shift + 4) // 4
+    a, b = 2 * k - 1, n - 2 * k - shift
+    c = comb0(a, b)
+    while b >= 0:
+        yield k, c
+        d = a - b
+        c = c * ((a + 1) * (a + 2) * b * (b - 1)) // ((d + 1) * (d + 2) * (d + 3) * (d + 4))
+        k, a, b = k + 1, a + 2, b - 2
+
+
 def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
     """The nonzero (k, bookended, count) classes of C_n with 2k balanced
-    edges, and their total."""
-    weights = []
-    for k in range((n + 3) // 4, n // 2 + 1):
-        w_book, w_mixed = _cycle_class_counts(n, k)
-        if w_book:
-            weights.append((k, True, w_book))
-        if w_mixed:
-            weights.append((k, False, w_mixed))
+    edges, ordered by k with the bookended class first, and their total.
+
+    The bookended counts 2 C(2k-1, n-2k) and the mixed counts
+    4 C(2k-1, n-2k-1) each lie on one diagonal of Pascal's triangle, walked by
+    ``_cycle_diagonal`` in O(n) bignum steps.  ``_cycle_class_counts``
+    evaluates each count on its own and is the oracle the tests compare with.
+    """
+    weights = [(k, True, 2 * c) for k, c in _cycle_diagonal(n, 0)]
+    weights += [(k, False, 4 * c) for k, c in _cycle_diagonal(n, 1)]
+    weights.sort(key=lambda w: (w[0], not w[1]))
     total = sum(w for _, _, w in weights)
     assert total == ic_cycle(n)
     return weights, total

@@ -14,6 +14,7 @@ an exact integer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,10 +54,16 @@ def _shift(coeffs: list[int], by: int) -> list[int]:
 
 
 def _add(*polys: list[int]) -> list[int]:
-    out = [0] * max(len(p) for p in polys)
+    """Element-wise sum of coefficient lists of any lengths, as a new list.
+
+    Each step adds the common prefix with ``map`` at C level and extends the
+    sum with the longer list's tail, so no coefficient is added in a Python
+    loop."""
+    out: list[int] = []
     for p in polys:
-        for i, c in enumerate(p):
-            out[i] += c
+        longer, shorter = (out, p) if len(out) >= len(p) else (p, out)
+        out = list(map(operator.add, longer, shorter))
+        out.extend(longer[len(shorter):])
     return out
 
 
@@ -94,7 +101,7 @@ def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
     ]
     while len(table) + 1 < max_n:
         back2, back3, back4 = table[-2], table[-3], table[-4]
-        table.append(_shift(_add(back2, [2 * c for c in back3], back4), 2))
+        table.append(_shift(_add(back2, back3, back3, back4), 2))
     return [UPoly.of(p) for p in table[: max_n - 1]]
 
 

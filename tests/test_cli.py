@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,14 @@ def test_sample_deterministic(capsys):
 def test_sample_requires_seed(capsys):
     code, _, _ = run_cli(capsys, "sample", "--family", "cycle", "--n", "6", "--count", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample", "--family", "path", "--seed", "1", "--count", "2"], ["gf", "--family", "cycle"]]
+)
+def test_family_without_n_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "mixspec: --family requires --n\n")
 
 
 def test_gf_json(capsys):
@@ -353,4 +363,44 @@ def test_cli_exit_codes_on_arbitrary_edge_lists(verb, text):
         finally:
             sys.stdin = old_stdin
     assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+_SUBPARSERS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+_FAMILY_FLAGS = (
+    ("--family", st.sampled_from(_SUBPARSERS.choices["gen"]._option_string_actions["--family"].choices)),
+    ("--n", st.integers(min_value=-3, max_value=40)),
+    ("--m", st.integers(min_value=-3, max_value=40)),
+)
+_SAMPLE_FLAGS = (
+    ("--seed", st.integers(min_value=-(2**70), max_value=2**70)),
+    ("--count", st.integers(min_value=-2, max_value=5)),
+)
+
+
+@st.composite
+def _family_argv(draw) -> list[str]:
+    """A verb with each flag present or absent: mostly the flags the verb
+    takes, sometimes one it rejects."""
+    verb = draw(st.sampled_from(["gen", "pmf", "sample", "gf", "moments"]))
+    argv = [verb]
+    for flags, tenths in ((_FAMILY_FLAGS, 8), (_SAMPLE_FLAGS, 8 if verb == "sample" else 1)):
+        for flag, values in flags:
+            if draw(st.integers(min_value=0, max_value=9)) < tenths:
+                argv += [flag, str(draw(values))]
+    return argv
+
+
+@given(argv=_family_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_codes_on_arbitrary_family_flags(argv):
+    # Any mix of family flags, in range or not, ends in a documented code and
+    # never in a traceback.  MIXSPEC_CAP keeps the exhaustive verbs (pmf and
+    # moments on complete graphs and bicliques) to at most 14 vertices;
+    # larger orders take the cap path and exit 3.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"MIXSPEC_CAP": "14"}):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue()

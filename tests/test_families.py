@@ -8,6 +8,9 @@ import pytest
 from mixspec.enumeration import enumerate_integrated, mix_histogram
 from mixspec.families import (
     WIRE_PIECES,
+    _cycle_class_counts,
+    _cycle_weights,
+    _path_weights,
     comb0,
     cycle_count_closed_form,
     cycle_mix_count,
@@ -19,6 +22,7 @@ from mixspec.families import (
     ic_path,
     lucas,
     necklace_enumerate,
+    path_mix_count,
     path_pmf,
     sample_cycle,
     sample_path,
@@ -259,3 +263,27 @@ def test_validation_errors():
         list(sample_path(1, 0, 1))
     with pytest.raises(ValueError):
         list(sample_cycle(2, 0, 1))
+
+
+# The count vectors are ratio walks over consecutive binomials; the per-k
+# ``math.comb`` formulas are the oracle.  The orders cover every residue of
+# n mod 4, where the cycle diagonals start at different k.
+_WALK_ORDERS = [*range(2, 301), 6000, 6001, 6002, 6003]
+
+
+def test_path_weights_match_per_k_binomials():
+    for n in _WALK_ORDERS:
+        expected = [(k, c) for k in range(n // 2, n) if (c := path_mix_count(n, k))]
+        assert _path_weights(n) == (expected, sum(c for _, c in expected)), n
+
+
+def test_cycle_weights_match_per_k_binomials():
+    for n in _WALK_ORDERS:
+        expected = []
+        for k in range(1, n // 2 + 1):
+            book, mixed = _cycle_class_counts(n, k)
+            if book:
+                expected.append((k, True, book))
+            if mixed:
+                expected.append((k, False, mixed))
+        assert _cycle_weights(n) == (expected, sum(w for _, _, w in expected)), n

@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mixspec import genfunc
 from mixspec.enumeration import mix_histogram
 from mixspec.families import cycle_mix_count, ic_cycle, ic_path, path_mix_count
 from mixspec.genfunc import (
@@ -230,3 +233,14 @@ def test_report_json_shape():
     assert set(data["mean"]) == {"num", "den"}
     assert isinstance(data["delta_mean"], float)
     assert isinstance(data["cdf_sup_distance"], float)
+
+
+@given(st.lists(st.lists(st.integers(min_value=-(2**80), max_value=2**80), max_size=12), min_size=2, max_size=4))
+def test_row_add_matches_elementwise_loop(polys):
+    expected = [0] * max(len(p) for p in polys)
+    for p in polys:
+        for i, c in enumerate(p):
+            expected[i] += c
+    before = [list(p) for p in polys]
+    assert genfunc._add(*polys) == expected
+    assert polys == before

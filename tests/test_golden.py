@@ -82,6 +82,14 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "sample-cycle-seed2": ("sample --family cycle --n 18 --seed 2 --count 25", None, 0, "ebf24d8082822ed1fff96e1894799e9b8f68e192d2a86f77f80fcb7b6e57bb3d"),
     "sample-path-300": ("sample --family path --n 300 --seed 5 --count 3", None, 0, "bfd21de7c6b682db8c48aa6b5bb5233e7c3181279e4568886b731c8a36f42e03"),
     "sample-cycle-300": ("sample --family cycle --n 300 --seed 5 --count 3", None, 0, "753678d67126974a1999d3b825f6b685a66d70ae0d89c77486f3b089167e4382"),
+    # Large enough that the count vectors are bignum walks; the cycle cases
+    # cover n = 0, 1, 2, 3 (mod 4), which move where each diagonal starts.
+    "sample-path-2001": ("sample --family path --n 2001 --seed 4 --count 2", None, 0, "baa88ce16b5e836c6ab144529d74b7268a92f4a6bc9ac17a5e4a7d8199e9fcad"),
+    "sample-cycle-2003": ("sample --family cycle --n 2003 --seed 4 --count 2", None, 0, "5af37d5dd23b030faba4536a6700e6dfe139507ac87487aa33fc0813244b6193"),
+    "pmf-cycle-401-csv": ("pmf --family cycle --n 401 --format csv", None, 0, "3102d573dbda7f688a1d78c48c4043ca645de69bfc3a55c5e3d6c973af2efcc4"),
+    "pmf-cycle-400": ("pmf --family cycle --n 400", None, 0, "b02ecbdabb2f67536fbde35b0c184bd333d048ca75fea5e1029cb6c0ad827202"),
+    "pmf-cycle-402-csv": ("pmf --family cycle --n 402 --format csv", None, 0, "419909b1219573a5de0646e3f13bef81e2f2719b04356aafc05cf0841ac47336"),
+    "gf-cycle-203": ("gf --family cycle --n 203", None, 0, "80c990c6a1462c2a443f26fe2b7a0a99440ecacec176008fd2c1b80c015c8ffb"),
     "gf-path-20": ("gf --family path --n 20", None, 0, "865f07a4432efe18cf2456d4d020f1d365f085ba96ddec64fbec96afaaecb4bf"),
     "gf-cycle-20-csv": ("gf --family cycle --n 20 --format csv", None, 0, "abb9692f0a96b6064a588f210eeb66cbb364a81bb9e690aabe6b022009b96123"),
     "spectrum-cube": ("spectrum --input -", "cube", 0, "4d59081db3669a1466d3b148c6d572d336f5be4f873d14b19be7253bb615d816"),
