@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import families, genfunc, verify
-from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError, enumerate_integrated, mix_histogram
+from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError, enumerate_integrated, exact_histogram
 from .graph import (
     Graph,
     biclique_graph,
@@ -153,7 +153,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
-    hist = mix_histogram(g, cap=_effective_cap(args))
+    hist = exact_histogram(g, cap=_effective_cap(args))
     if args.format == "csv":
         lines = ["mix,count"] + [f"{k},{c}" for k, c in sorted(hist.counts.items())]
         _emit("\n".join(lines))
@@ -182,22 +182,15 @@ def _family_pmf(args) -> families.FamilyPmf:
 
 
 def _cmd_pmf(args) -> int:
-    if args.input is not None:
-        g = _load_graph(args)
-        hist = mix_histogram(g, cap=_effective_cap(args))
-        label, order, total = "input", g.vertex_count, hist.ic
-        numerators = dict(sorted(hist.counts.items()))
+    if args.input is None and args.family in ("path", "cycle"):
+        _require_n(args)
+        pmf = _family_pmf(args)
+        label, order, total, numerators = pmf.family, pmf.n, pmf.ic, pmf.counts
     else:
-        if args.family in ("path", "cycle"):
-            _require_n(args)
-            pmf = _family_pmf(args)
-            label, order, total = pmf.family, pmf.n, pmf.ic
-            numerators = {k: int(p * total) for k, p in sorted(pmf.masses.items())}
-        else:
-            g = _family_graph(args)
-            hist = mix_histogram(g, cap=_effective_cap(args))
-            label, order, total = args.family, g.vertex_count, hist.ic
-            numerators = dict(sorted(hist.counts.items()))
+        g = _load_graph(args)
+        hist = exact_histogram(g, cap=_effective_cap(args))
+        label = "input" if args.input is not None else args.family
+        order, total, numerators = g.vertex_count, hist.ic, hist.counts
     if args.format == "csv":
         lines = ["mix,num,den"] + [f"{k},{num},{total}" for k, num in numerators.items()]
         _emit("\n".join(lines))
@@ -252,7 +245,7 @@ def _cmd_gf(args) -> int:
 def _cmd_moments(args) -> int:
     if args.input is not None or args.family not in ("path", "cycle", None):
         g = _load_graph(args)
-        counts = mix_histogram(g, cap=_effective_cap(args)).counts
+        counts = exact_histogram(g, cap=_effective_cap(args)).counts
         poly = genfunc.UPoly.of([counts.get(k, 0) for k in range(max(counts) + 1)])
         label = "input" if args.input is not None else args.family
         order = g.vertex_count
@@ -285,7 +278,7 @@ def _cmd_bound(args) -> int:
     variant = args.variant.replace("-", "_")
     exact_ic = None
     if args.exact:
-        exact_ic = mix_histogram(g, cap=_effective_cap(args)).ic
+        exact_ic = exact_histogram(g, cap=_effective_cap(args)).ic
     if variant == "auto":
         general = bounds_mod.bound_general(g)
         chosen = None

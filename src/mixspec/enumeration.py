@@ -9,6 +9,14 @@ on graphs whose search stays small.  Every leaf passes a guard that ignores
 the search's incremental counters and recomputes each vertex's mix from
 bitmasks, so a pruning bug could cost time but never emit a wrong coloring.
 ``max_cut`` walks the 2^(n-1) splits in Gray-code order (``_gray_cuts``).
+
+``exact_histogram`` gives the same histogram as ``mix_histogram`` from the
+cheapest engine that applies: the closed forms for complete graphs and
+bicliques, then a DP over the frontier of a narrow vertex order
+(``_frontier_counts``, the transfer-matrix method run over a path
+decomposition), then the search.  The CLI's histograms go through it;
+``verify`` and the tests keep calling ``mix_histogram``, so the search stays
+the oracle for both fast engines.
 """
 
 from __future__ import annotations
@@ -147,6 +155,217 @@ def mix_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
     _check_cap(g, cap)
     counter: Counter[int] = Counter(mix for _, mix in _search(g))
     return MixHistogram(dict(sorted(counter.items())))
+
+
+# Largest number of frontier states the DP may hold at once, bounded before it
+# starts (``_frontier_order``).  Past it the search is the cheaper engine.
+FRONTIER_STATE_BUDGET = 1 << 16
+
+
+def exact_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
+    """The histogram of ``mix_histogram``, from the cheapest exact engine.
+
+    Complete graphs and bicliques are answered by their closed forms, graphs
+    with a narrow vertex order by the frontier DP, and every other graph by
+    the search.  The cap applies to all three, so it keeps its meaning.
+    """
+    _check_cap(g, cap)
+    counts = _closed_form_counts(g)
+    if counts is None:
+        order = _frontier_order(g)
+        if order is None:
+            return mix_histogram(g, cap)
+        counts = _frontier_counts(g, order)
+    return MixHistogram(dict(sorted(counts.items())))
+
+
+def _closed_form_counts(g: Graph) -> dict[int, int] | None:
+    """The mix counts of K_n or K_{a,b} from ``families``, else None."""
+    from .families import ic_biclique, ic_complete  # families imports this module
+
+    n, m = g.vertex_count, g.edge_count
+    if n >= 1 and 2 * m == n * (n - 1):
+        count, mix = ic_complete(n)
+        return {mix: count}
+    side = _two_coloring(g)
+    if side is not None:
+        a = sum(side)
+        if m == a * (n - a):
+            return ic_biclique(a, n - a)[1]
+    return None
+
+
+def _two_coloring(g: Graph) -> list[int] | None:
+    """A proper two-coloring of a connected graph with an edge, else None."""
+    if g.edge_count == 0:
+        return None
+    side = [-1] * g.vertex_count
+    side[0] = 0
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for w in g.adjacency[v]:
+            if side[w] < 0:
+                side[w] = 1 - side[v]
+                reached += 1
+                stack.append(w)
+            elif side[w] == side[v]:
+                return None
+    return side if reached == g.vertex_count else None
+
+
+def _frontier_order(g: Graph) -> list[int] | None:
+    """A vertex order for the frontier DP, or None when it would exceed the budget.
+
+    The frontier after placing a prefix of the order is the set of placed
+    vertices with an unplaced neighbor.  The greedy order places next the
+    neighbor of the frontier that leaves it smallest (a vertex of least degree
+    when the frontier is empty); id order is kept when it is no wider.  The
+    DP's states are bounded by the product, over the frontier, of 2 colors
+    times the values still possible for how many more opposite neighbors the
+    vertex needs, and the order is refused if that bound ever passes
+    ``FRONTIER_STATE_BUDGET``.
+    """
+    adjacency = g.adjacency
+    n = g.vertex_count
+    unplaced = [len(nbrs) for nbrs in adjacency]
+    placed = [False] * n
+    candidates: set[int] = set()
+    starts = iter(sorted(range(n), key=lambda v: (unplaced[v], v)))
+    greedy: list[int] = []
+
+    def growth(v: int) -> tuple[int, int]:
+        left = sum(1 for w in adjacency[v] if placed[w] and unplaced[w] == 1)
+        return (unplaced[v] > 0) - left, v
+
+    for _ in range(n):
+        if candidates:
+            v = min(candidates, key=growth)
+        else:
+            v = next(u for u in starts if not placed[u])
+        greedy.append(v)
+        placed[v] = True
+        candidates.discard(v)
+        for w in adjacency[v]:
+            unplaced[w] -= 1
+            if not placed[w]:
+                candidates.add(w)
+    by_id = list(range(n))
+    width_id, bound_id = _frontier_profile(g, by_id)
+    width_greedy, bound_greedy = _frontier_profile(g, greedy)
+    order, bound = (by_id, bound_id) if width_id <= width_greedy else (greedy, bound_greedy)
+    return order if bound <= FRONTIER_STATE_BUDGET else None
+
+
+def _frontier_profile(g: Graph, order: list[int]) -> tuple[int, int]:
+    """The largest frontier of ``order`` and the largest bound on its states."""
+    adjacency = g.adjacency
+    half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
+    unplaced = [len(nbrs) for nbrs in adjacency]
+    frontier: set[int] = set()
+    width = bound = 0
+    for v in order:
+        for w in adjacency[v]:
+            unplaced[w] -= 1
+            if unplaced[w] == 0:
+                frontier.discard(w)
+        if unplaced[v]:
+            frontier.add(v)
+        states = 1
+        for u in frontier:
+            states *= 2 * (min(half[u], unplaced[u]) + 1)
+        width = max(width, len(frontier))
+        bound = max(bound, states)
+    return width, bound
+
+
+def _frontier_counts(g: Graph, order: list[int]) -> dict[int, int]:
+    """Count integrated colorings by mix with a DP over the frontier of ``order``.
+
+    A state packs one field per frontier vertex into an int: its color in the
+    low bit and, above it, how many more opposite neighbors it needs to reach
+    ceil(deg/2).  Each vertex holds a slot from when it is placed until its
+    last neighbor is; free slots read 0.  A branch dies as soon as some vertex
+    needs more than it has unplaced neighbors left.  Each state's counts by
+    mix are packed into one int too, ``digit`` bits per mix value (counts stay
+    below 2^(n+1)), so placing a vertex that gains k balanced edges shifts the
+    whole polynomial by k*digit bits and merging two states is one addition.
+    A vertex placed while the frontier is empty starts components that share
+    no edge with the placed part, so swapping all their colors is a bijection:
+    it is placed black only, and the counts are doubled at the end.
+    """
+    adjacency = g.adjacency
+    half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
+    unplaced = [len(nbrs) for nbrs in adjacency]
+    field = 1 + max(half, default=0).bit_length()
+    field_mask = (1 << field) - 1
+    digit = 8 * (g.vertex_count // 8 + 1)
+    slot: dict[int, int] = {}  # frontier vertex -> bit offset of its field
+    free: list[int] = []
+    doublings = 0
+    states = {0: 1}
+    for v in order:
+        colors = (BLACK, WHITE) if slot else (BLACK,)
+        doublings += not slot
+        placed_nbrs = []  # (bit offset, unplaced neighbors left) per frontier neighbor
+        for w in adjacency[v]:
+            unplaced[w] -= 1
+            if w in slot:
+                placed_nbrs.append((slot[w], unplaced[w]))
+                if not unplaced[w]:
+                    free.append(slot.pop(w))
+        left = unplaced[v]
+        if left:
+            slot[v] = free.pop() if free else field * len(slot)
+        v_offset = slot.get(v, 0)
+        nbr_mask = sum(field_mask << offset for offset, _ in placed_nbrs)
+
+        def moves(proj: int) -> list[tuple[int, int]]:
+            """(new fields, polynomial shift) for each viable color of v."""
+            out = []
+            for color in colors:
+                fields = gained = 0
+                for offset, rest in placed_nbrs:
+                    value = (proj >> offset) & field_mask
+                    need = value >> 1
+                    if value & 1 != color:
+                        gained += 1
+                        need = max(need - 1, 0)
+                    if need > rest:
+                        break
+                    if rest:
+                        fields |= (value & 1 | need << 1) << offset
+                else:
+                    need = max(half[v] - gained, 0)
+                    if need <= left:
+                        if left:
+                            fields |= (color | need << 1) << v_offset
+                        out.append((fields, gained * digit))
+            return out
+
+        table: dict[int, list[tuple[int, int]]] = {}
+        placed: dict[int, int] = {}
+        get = placed.get
+        for state, poly in states.items():
+            proj = state & nbr_mask
+            options = table.get(proj)
+            if options is None:
+                options = table[proj] = moves(proj)
+            rest_of_state = state ^ proj
+            for fields, shift in options:
+                key = rest_of_state | fields
+                placed[key] = get(key, 0) + (poly << shift)
+        states = placed
+    poly = states.get(0, 0)
+    step = digit // 8
+    data = poly.to_bytes(-(-poly.bit_length() // 8), "little")
+    counts = {}
+    for mix, start in enumerate(range(0, len(data), step)):
+        count = int.from_bytes(data[start:start + step], "little")
+        if count:
+            counts[mix] = count << doublings
+    return counts
 
 
 def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:

@@ -95,24 +95,26 @@ def ic_path(n: int) -> int:
 class FamilyPmf:
     """Exact distribution of the mixing number over a family instance.
 
-    ``masses`` maps each realized mixing number to its probability; entries
-    with zero probability are omitted, so the key set is the exact spectrum.
+    ``counts`` maps each realized mixing number, ascending, to its number of
+    integrated colorings; zero counts are omitted, so the key set is the exact
+    spectrum.  ``masses`` divides them by ``ic``.
     """
 
     family: str
     n: int
     ic: int
-    masses: dict[int, Fraction]
+    counts: dict[int, int]
+
+    def __post_init__(self) -> None:
+        assert sum(self.counts.values()) == self.ic
+
+    @property
+    def masses(self) -> dict[int, Fraction]:
+        return {mix: Fraction(c, self.ic) for mix, c in self.counts.items()}
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.masses))
-
-
-def _family_pmf(family: str, n: int, total: int, counts: dict[int, int]) -> FamilyPmf:
-    masses = {mix: Fraction(c, total) for mix, c in counts.items()}
-    assert sum(masses.values()) == 1
-    return FamilyPmf(family, n, total, masses)
+        return tuple(sorted(self.counts))
 
 
 def path_mix_count(n: int, k: int) -> int:
@@ -129,7 +131,7 @@ def path_pmf(n: int) -> FamilyPmf:
     if n < 2:
         raise ValueError("need at least one edge")
     weights, total = _path_weights(n)
-    return _family_pmf("path", n, total, dict(weights))
+    return FamilyPmf("path", n, total, dict(weights))
 
 
 def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
@@ -210,7 +212,7 @@ def cycle_pmf(n: int) -> FamilyPmf:
     counts: dict[int, int] = {}
     for k, _, w in weights:
         counts[2 * k] = counts.get(2 * k, 0) + w
-    return _family_pmf("cycle", n, total, counts)
+    return FamilyPmf("cycle", n, total, counts)
 
 
 def _cycle_diagonal(n: int, shift: int) -> Iterator[tuple[int, int]]:

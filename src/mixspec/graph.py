@@ -8,6 +8,7 @@ edges are balanced.  These are the primitives everything else builds on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -74,14 +75,19 @@ class Graph:
 def build_graph(edges: Iterable[tuple[int, int]], vertex_count: int | None = None) -> Graph:
     """Build a Graph from an edge list, collapsing duplicates.
 
-    Rejects self-loops and vertex ids outside ``range(vertex_count)``.  When
-    ``vertex_count`` is omitted it is inferred as one past the largest id.
+    Rejects self-loops, vertex ids outside ``range(vertex_count)`` and vertex
+    counts past ``sys.maxsize``.  When ``vertex_count`` is omitted it is
+    inferred as one past the largest id.
     """
     edge_list = list(edges)
     if vertex_count is None:
         vertex_count = 1 + max((max(u, v) for u, v in edge_list), default=-1)
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
+    if vertex_count > sys.maxsize:
+        # Checked before the neighbor list exists: building it would only end
+        # when memory runs out.
+        raise ValueError(f"vertex count {vertex_count} exceeds the largest list size {sys.maxsize}")
     nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
     for u, v in edge_list:
         if u == v:

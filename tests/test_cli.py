@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixspec import cli
+from mixspec import cli, genfunc
 from mixspec.cli import main
 
 
@@ -262,6 +262,27 @@ def test_deep_search_past_recursion_limit(capsys, feed_stdin):
     code, out, err = run_cli(capsys, "enumerate", "--cap", "2000", "--input", "-")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["0" + "1" * 1500, "1" + "0" * 1500]
+
+
+def test_raised_cap_finishes_on_narrow_graphs(capsys):
+    # C_400 is far past any search, but the frontier DP holds at most 16
+    # states: the histogram is the cycle GF row, coefficient for coefficient.
+    code, out, err = run_cli(capsys, "spectrum", "--family", "cycle", "--n", "400", "--cap", "400")
+    assert (code, err) == (0, "")
+    row = genfunc.cycle_gf_coeff(400)
+    assert json.loads(out)["histogram"] == {str(k): c for k, c in enumerate(row.coeffs) if c}
+    code, out, err = run_cli(capsys, "spectrum", "--family", "cycle", "--n", "400")
+    assert (code, out) == (3, "") and "capped at 24" in err
+
+
+@pytest.mark.parametrize("text", ["0 99999999999999999999\n", "n 99999999999999999999\n0 1\n"])
+def test_vertex_count_past_maxsize_exit2(capsys, feed_stdin, text):
+    # Both the inferred and the declared count are refused before the
+    # neighbor list is built, which would otherwise grow until memory ran out.
+    feed_stdin(text)
+    code, out, err = run_cli(capsys, "spectrum", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("mixspec: vertex count") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

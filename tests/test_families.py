@@ -8,6 +8,7 @@ import pytest
 from mixspec.enumeration import enumerate_integrated, mix_histogram
 from mixspec.families import (
     WIRE_PIECES,
+    FamilyPmf,
     _cycle_class_counts,
     _cycle_weights,
     _path_weights,
@@ -105,6 +106,25 @@ def test_path_pmf_matches_enumeration():
         hist = mix_histogram(path_graph(n))
         assert pmf.ic == hist.ic
         assert pmf.masses == {k: Fraction(c, hist.ic) for k, c in hist.counts.items()}
+
+
+def test_pmf_counts_are_the_per_k_formulas():
+    # The integer counts behind both pmfs, ascending and without zeros, which
+    # the CLI prints as numerators over ic.
+    for n in list(range(2, 60)) + [401, 402]:
+        path = path_pmf(n)
+        expected = {k: path_mix_count(n, k) for k in range(n) if path_mix_count(n, k)}
+        assert list(path.counts.items()) == list(expected.items())
+        assert path.ic == ic_path(n)
+        cycle = cycle_pmf(n)
+        expected = {k: cycle_mix_count(n, k) for k in range(n + 1) if cycle_mix_count(n, k)}
+        assert list(cycle.counts.items()) == list(expected.items())
+        assert cycle.ic == ic_cycle(n)
+
+
+def test_family_pmf_rejects_counts_that_miss_ic():
+    with pytest.raises(AssertionError):
+        FamilyPmf("path", 4, 5, {2: 2, 3: 2})
 
 
 def test_ic_cycle_values():

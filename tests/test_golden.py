@@ -38,6 +38,10 @@ STDIN = {
     "0 10\n1 11\n2 12\n3 13\n4 14\n5 15\n6 16\n7 17\n8 18\n9 19\n",
     # A 12-cycle with the chords 0-6 and 3-9: minimum degree 2, not regular.
     "chorded": "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 10\n10 11\n11 0\n0 6\n3 9\n",
+    # The 3x7 grid, vertex r*7 + c at row r and column c.
+    "grid3x7": "n 21\n" + "".join(
+        f"{v} {w}\n" for v in range(21) for w in (v + 1, v + 7)
+        if w < 21 and (w == v + 7 or w % 7)),
 }
 
 # case id -> (argv, stdin key or None, exit code, SHA-256 of stdout)
@@ -101,6 +105,15 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "enumerate-cycle-7": ("enumerate --family cycle --n 7", None, 0, "59e2f49600d3b2835469b575d237d801fa691acdd4d636d75177ffe94be40300"),
     "gen-petersen": ("gen --family petersen", None, 0, "72e81adc954f596cabfa3f4d6980ae7a61d0af14366d74efab7aa478730a7c73"),
     "gen-biclique": ("gen --family biclique --m 2 --n 3", None, 0, "f3d0faff14d86ebd3e192eca33bcc3813fe0dcdeeb772e0780354769334f7d89"),
+    # Answered by closed forms (complete graphs, bicliques) and by the
+    # frontier DP (grid, chorded cycle) rather than by the search.
+    "spectrum-biclique-4x6": ("spectrum --family biclique --m 4 --n 6", None, 0, "2d02b64dd4c9a153d72f363a52038677f2caa4cb1538d2b96741dc0612b8cc5b"),
+    "spectrum-biclique-3x5-csv": ("spectrum --family biclique --m 3 --n 5 --format csv", None, 0, "007f55a9b235002717d6c54400464b0bf1db4a887427b73347cfd2435073dd8d"),
+    "pmf-biclique-4x4-csv": ("pmf --family biclique --m 4 --n 4 --format csv", None, 0, "2eedc253b8c4827737c6d62b6a2390e29fe77bff5cc29a81287df3431e19bf17"),
+    "pmf-complete-11": ("pmf --family complete --n 11", None, 0, "4d7e6ada2aedcb6d2d1c292ab69aca51f7cfee1603bed86196cf580b4f9aea87"),
+    "spectrum-grid3x7-csv": ("spectrum --input - --format csv", "grid3x7", 0, "0334002469b7c89e95243faae50df20801429d6116644c94d56aec4c9ef1b3bc"),
+    "moments-input-chorded": ("moments --input -", "chorded", 0, "7f549f5dd404e0c36b44dcc50b80e42931ecdd2b787934b0925ce7c58a14eabd"),
+    "bound-exact-chorded": ("bound --input - --exact", "chorded", 0, "ca0d402a743bd14aa8323985c5160c4cf79603314b0109fa80274476a541b131"),
     "verify-small": ("verify --max-n 6 --random-count 5", None, 0, "d82cdf4c33b0bfc87ea679cf00ad02905f09933f69b969180a0b76e0e07c0fa2"),
     # 90 oracle graphs and 2025 V'' pairs for the semi-random oracles.
     "verify-oracles": ("verify --max-n 8 --random-count 40", None, 0, "4019111df35c3c669c297608900e8eb0b1c44decbbb55c1c229f015b92818ad9"),
