@@ -218,13 +218,12 @@ def _finish(
 
 def _rejection(g: Graph) -> str | None:
     """Reason the semi-random construction cannot run, or None if it can."""
-    core = [v for v in range(g.vertex_count) if g.degree(v) > 0]
-    if not core:
+    # Isolated vertices add no edge, no degree and only one-vertex components.
+    if g.edge_count == 0:
         return "graph has no edges (the count is exactly 2^|V|)"
-    stripped, _ = induced_subgraph(g, core)
-    if stripped.max_degree() < 2:
+    if g.max_degree() < 2:
         return "maximum degree below 2: the graph is a union of disjoint edges"
-    k2 = sum(1 for comp in connected_components(stripped) if len(comp) == 2)
+    k2 = sum(1 for comp in connected_components(g) if len(comp) == 2)
     if k2:
         return (
             f"{k2} two-vertex component(s): both endpoints are pendant, so forcing "

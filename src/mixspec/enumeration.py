@@ -12,15 +12,18 @@ bitmasks, so a pruning bug could cost time but never emit a wrong coloring.
 
 ``exact_histogram`` gives the same histogram as ``mix_histogram`` from the
 cheapest engine that applies: the closed forms for complete graphs and
-bicliques, then a DP over the frontier of a narrow vertex order
+bicliques, then a DP over the frontier of a vertex order
 (``_frontier_counts``, the transfer-matrix method run over a path
-decomposition), then the search.  The CLI's histograms go through it;
+decomposition), then the search.  The DP takes id order or the greedy
+order, whichever bounds its states lower, and runs only when that bound is
+within ``FRONTIER_STATE_BUDGET``.  The CLI's histograms go through it;
 ``verify`` and the tests keep calling ``mix_histogram``, so the search stays
 the oracle for both fast engines.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -180,91 +183,75 @@ def exact_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
 
 
 def _closed_form_counts(g: Graph) -> dict[int, int] | None:
-    """The mix counts of K_n or K_{a,b} from ``families``, else None."""
+    """The mix counts of K_n or K_{a,b} from ``families``, else None.
+
+    It is K_{a,b} exactly when B = N(0) is non-empty, every vertex outside B
+    has neighbourhood B, and every vertex of B has the rest as neighbourhood.
+    """
     from .families import ic_biclique, ic_complete  # families imports this module
 
-    n, m = g.vertex_count, g.edge_count
-    if n >= 1 and 2 * m == n * (n - 1):
+    n, adjacency = g.vertex_count, g.adjacency
+    if n >= 1 and 2 * g.edge_count == n * (n - 1):
         count, mix = ic_complete(n)
         return {mix: count}
-    side = _two_coloring(g)
-    if side is not None:
-        a = sum(side)
-        if m == a * (n - a):
-            return ic_biclique(a, n - a)[1]
+    b_side = adjacency[0] if n else frozenset()
+    a_side = frozenset(range(n)) - b_side
+    if (b_side and all(adjacency[v] == b_side for v in a_side)
+            and all(adjacency[v] == a_side for v in b_side)):
+        return ic_biclique(len(b_side), len(a_side))[1]
     return None
 
 
-def _two_coloring(g: Graph) -> list[int] | None:
-    """A proper two-coloring of a connected graph with an edge, else None."""
-    if g.edge_count == 0:
-        return None
-    side = [-1] * g.vertex_count
-    side[0] = 0
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-                reached += 1
-                stack.append(w)
-            elif side[w] == side[v]:
-                return None
-    return side if reached == g.vertex_count else None
-
-
-def _frontier_order(g: Graph) -> list[int] | None:
-    """A vertex order for the frontier DP, or None when it would exceed the budget.
+def _greedy_order(g: Graph) -> list[int]:
+    """The greedy minimum-frontier order, in O(m log n).
 
     The frontier after placing a prefix of the order is the set of placed
-    vertices with an unplaced neighbor.  The greedy order places next the
-    neighbor of the frontier that leaves it smallest (a vertex of least degree
-    when the frontier is empty); id order is kept when it is no wider.  The
-    DP's states are bounded by the product, over the frontier, of 2 colors
-    times the values still possible for how many more opposite neighbors the
-    vertex needs, and the order is refused if that bound ever passes
-    ``FRONTIER_STATE_BUDGET``.
+    vertices with an unplaced neighbor.  Next comes the frontier's neighbor
+    that leaves it smallest, the lower id on a tie, or a vertex of least
+    degree when the frontier is empty.  Scores only fall, so a candidate's
+    newest heap entry is its lowest; older ones surface after it is placed.
     """
     adjacency = g.adjacency
-    n = g.vertex_count
     unplaced = [len(nbrs) for nbrs in adjacency]
-    placed = [False] * n
-    candidates: set[int] = set()
-    starts = iter(sorted(range(n), key=lambda v: (unplaced[v], v)))
-    greedy: list[int] = []
+    placed = [False] * g.vertex_count
+    closes = [0] * g.vertex_count  # placed vertices whose last unplaced neighbor is v
+    starts = iter(sorted(range(g.vertex_count), key=lambda v: (unplaced[v], v)))
+    heap: list[tuple[int, int]] = []
+    order: list[int] = []
 
-    def growth(v: int) -> tuple[int, int]:
-        left = sum(1 for w in adjacency[v] if placed[w] and unplaced[w] == 1)
-        return (unplaced[v] > 0) - left, v
+    def push(v: int) -> None:
+        heapq.heappush(heap, ((unplaced[v] > 0) - closes[v], v))
 
-    for _ in range(n):
-        if candidates:
-            v = min(candidates, key=growth)
-        else:
-            v = next(u for u in starts if not placed[u])
-        greedy.append(v)
+    for _ in range(g.vertex_count):
+        while heap and placed[heap[0][1]]:
+            heapq.heappop(heap)
+        v = heapq.heappop(heap)[1] if heap else next(u for u in starts if not placed[u])
+        order.append(v)
         placed[v] = True
-        candidates.discard(v)
         for w in adjacency[v]:
             unplaced[w] -= 1
             if not placed[w]:
-                candidates.add(w)
-    by_id = list(range(n))
-    width_id, bound_id = _frontier_profile(g, by_id)
-    width_greedy, bound_greedy = _frontier_profile(g, greedy)
-    order, bound = (by_id, bound_id) if width_id <= width_greedy else (greedy, bound_greedy)
-    return order if bound <= FRONTIER_STATE_BUDGET else None
+                push(w)
+        for u in (v, *adjacency[v]):
+            if placed[u] and unplaced[u] == 1:
+                last = next(w for w in adjacency[u] if not placed[w])
+                closes[last] += 1
+                push(last)
+    return order
 
 
-def _frontier_profile(g: Graph, order: list[int]) -> tuple[int, int]:
-    """The largest frontier of ``order`` and the largest bound on its states."""
+def _state_bound(g: Graph, order: list[int]) -> int:
+    """The largest bound on the DP's states along ``order``.
+
+    The bound at each step is the product, over the frontier, of 2 colors
+    times the values still possible for how many more opposite neighbors the
+    vertex needs.  The walk stops once it passes ``FRONTIER_STATE_BUDGET``.
+    """
     adjacency = g.adjacency
     half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
     unplaced = [len(nbrs) for nbrs in adjacency]
     frontier: set[int] = set()
-    width = bound = 0
+    bound = 0
     for v in order:
         for w in adjacency[v]:
             unplaced[w] -= 1
@@ -275,9 +262,19 @@ def _frontier_profile(g: Graph, order: list[int]) -> tuple[int, int]:
         states = 1
         for u in frontier:
             states *= 2 * (min(half[u], unplaced[u]) + 1)
-        width = max(width, len(frontier))
         bound = max(bound, states)
-    return width, bound
+        if bound > FRONTIER_STATE_BUDGET:
+            break
+    return bound
+
+
+def _frontier_order(g: Graph) -> list[int] | None:
+    """Id order or the greedy order, whichever has the smaller state bound
+    (id order on a tie), or None when even that bound passes the budget."""
+    by_id, greedy = list(range(g.vertex_count)), _greedy_order(g)
+    bound_id, bound_greedy = _state_bound(g, by_id), _state_bound(g, greedy)
+    order, bound = (by_id, bound_id) if bound_id <= bound_greedy else (greedy, bound_greedy)
+    return order if bound <= FRONTIER_STATE_BUDGET else None
 
 
 def _frontier_counts(g: Graph, order: list[int]) -> dict[int, int]:

@@ -343,8 +343,6 @@ def parse_edge_list(text: str) -> Graph:
         if vertex_count is not None and (u >= vertex_count or v >= vertex_count):
             raise ValueError(f"line {lineno}: vertex id out of range for n {vertex_count}")
         edges.append((u, v))
-    if vertex_count is None:
-        vertex_count = 1 + max((max(u, v) for u, v in edges), default=-1)
     return build_graph(edges, vertex_count)
 
 

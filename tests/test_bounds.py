@@ -243,6 +243,21 @@ def test_oracle_cap_and_rejections():
         semirandom_oracle(path_graph(2))
     with pytest.raises(InapplicableError):
         semirandom_oracle(cycle_graph(10), cap=5)
+    # Isolated vertices change no reason.
+    cases = [
+        (build_graph([], 4), "graph has no edges (the count is exactly 2^|V|)"),
+        (build_graph([(0, 1), (2, 3)], 5),
+         "maximum degree below 2: the graph is a union of disjoint edges"),
+        (build_graph([(0, 1), (1, 2), (0, 2), (3, 4)], 6),
+         "1 two-vertex component(s): both endpoints are pendant, so forcing pendants "
+         "opposite their neighbors is circular (each such component contributes an "
+         "exact factor 2)"),
+    ]
+    for g, reason in cases:
+        assert _rejection(g) == reason
+        with pytest.raises(InapplicableError) as exc:
+            semirandom_oracle(g)
+        assert str(exc.value) == reason
 
 
 def test_oracle_counts_integrated_colorings():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixspec import cli, genfunc
+from mixspec import cli, families, genfunc
 from mixspec.cli import main
 
 
@@ -235,7 +235,7 @@ def test_bound_beyond_double_range(capsys, feed_stdin):
     assert data["upper_bound_decimal"] is None
 
 
-@pytest.mark.parametrize("n", [5, 60, 2000])
+@pytest.mark.parametrize("n", [5, 60, 2000, 14500])
 @pytest.mark.parametrize("variant", ["general", "regular"])
 def test_cycle_bound_closed_form(capsys, variant, n):
     # For C_n, n >= 5: mu = 3n/4, sigma^2 = 5n/16, bound = 5 * 2^n / (n + 5).
@@ -249,6 +249,14 @@ def test_cycle_bound_closed_form(capsys, variant, n):
     assert fraction("mu") == Fraction(3 * n, 4)
     assert fraction("sigma_sq") == Fraction(5 * n, 16)
     assert fraction("upper_bound") == Fraction(5 * 2**n, n + 5)
+
+
+def test_counts_past_the_int_str_digit_limit(capsys):
+    # ic(K_{2,14400}) has over 4300 digits, Python's default int->str limit.
+    code, out, err = run_cli(capsys, "spectrum", "--family", "biclique", "--m", "2",
+                             "--n", "14400", "--cap", "20000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ic"] == families.ic_biclique(2, 14400)[0]
 
 
 def test_deep_search_past_recursion_limit(capsys, feed_stdin):

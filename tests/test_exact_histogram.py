@@ -4,6 +4,7 @@ the frontier DP), each checked against the search in ``mix_histogram``."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from mixspec.enumeration import (
     _closed_form_counts,
     _frontier_counts,
     _frontier_order,
-    _frontier_profile,
+    _greedy_order,
+    _state_bound,
     exact_histogram,
     mix_histogram,
 )
@@ -45,6 +47,64 @@ def _grid(rows: int, cols: int) -> Graph:
     edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
     edges += [(v, v + cols) for v in range((rows - 1) * cols)]
     return build_graph(edges, rows * cols)
+
+
+def _star_plus_edge(leaves: int) -> Graph:
+    # Not a biclique, so it reaches the DP; the hub makes a min-scan greedy quadratic.
+    return build_graph([(0, leaf) for leaf in range(1, leaves + 1)] + [(1, 2)], leaves + 1)
+
+
+def _reference_greedy(g: Graph) -> list[int]:
+    """Reference greedy order: rescan every candidate at each step and take
+    the one that grows the frontier least, the lower id on a tie."""
+    adjacency = g.adjacency
+    n = g.vertex_count
+    unplaced = [len(nbrs) for nbrs in adjacency]
+    placed = [False] * n
+    candidates: set[int] = set()
+    starts = iter(sorted(range(n), key=lambda v: (unplaced[v], v)))
+    order: list[int] = []
+
+    def growth(v: int) -> tuple[int, int]:
+        left = sum(1 for w in adjacency[v] if placed[w] and unplaced[w] == 1)
+        return (unplaced[v] > 0) - left, v
+
+    for _ in range(n):
+        if candidates:
+            v = min(candidates, key=growth)
+        else:
+            v = next(u for u in starts if not placed[u])
+        order.append(v)
+        placed[v] = True
+        candidates.discard(v)
+        for w in adjacency[v]:
+            unplaced[w] -= 1
+            if not placed[w]:
+                candidates.add(w)
+    return order
+
+
+def _reference_profile(g: Graph, order: list[int]) -> tuple[int, int]:
+    """Reference walk over all of ``order``: the largest frontier and the
+    largest product bound on the DP's states."""
+    adjacency = g.adjacency
+    half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
+    unplaced = [len(nbrs) for nbrs in adjacency]
+    frontier: set[int] = set()
+    width = bound = 0
+    for v in order:
+        for w in adjacency[v]:
+            unplaced[w] -= 1
+            if unplaced[w] == 0:
+                frontier.discard(w)
+        if unplaced[v]:
+            frontier.add(v)
+        states = 1
+        for u in frontier:
+            states *= 2 * (min(half[u], unplaced[u]) + 1)
+        width = max(width, len(frontier))
+        bound = max(bound, states)
+    return width, bound
 
 
 @st.composite
@@ -93,8 +153,17 @@ def test_empty_and_edgeless_graphs():
 def _recognized():
     yield from (complete_graph(r) for r in range(1, 10))
     yield from (biclique_graph(a, b) for a in range(1, 6) for b in range(a, 7))
+    # Vertex 0 on the larger side; with a = 1, K_{1,b} with 0 as a leaf (the
+    # loop above has it as the hub).
+    yield from (biclique_graph(b, a) for a in range(1, 6) for b in range(a + 1, 7))
     # A biclique with its parts interleaved: ids do not reveal the sides.
     yield build_graph([(u, v) for u in range(8) for v in range(8) if u % 2 == 0 and v % 2], 8)
+    # Shuffled ids, with vertex 0 on the smaller side, then on the larger one.
+    for a, b in ((3, 5), (5, 3), (1, 7), (7, 1)):
+        ids = list(range(a + b))
+        random.Random(a).shuffle(ids)
+        ids[ids.index(0)], ids[0] = ids[0], 0
+        yield build_graph([(ids[u], ids[v]) for u, v in biclique_graph(a, b).edges()], a + b)
 
 
 def _near_misses():
@@ -112,6 +181,10 @@ def _near_misses():
         yield build_graph(biclique_graph(a, b).edges() + copy, 2 * k)
         # A biclique with an isolated vertex.
         yield build_graph(biclique_graph(a, b).edges(), a + b + 1)
+        # One edge missing, at vertex 0 and elsewhere.
+        yield build_graph([e for e in biclique_graph(a, b).edges() if e != (0, a)], a + b)
+        if a >= 2:
+            yield build_graph([e for e in biclique_graph(a, b).edges() if e != (1, a + 1)], a + b)
     yield petersen_graph()
 
 
@@ -153,12 +226,59 @@ def test_budget_bounds_the_chosen_order():
     for g in (cycle_graph(24), _grid(4, 6), _grid(3, 60), path_graph(500)):
         order = _frontier_order(g)
         assert sorted(order) == list(range(g.vertex_count))
-        assert _frontier_profile(g, order)[1] <= FRONTIER_STATE_BUDGET
+        assert _reference_profile(g, order)[1] <= FRONTIER_STATE_BUDGET
     # Id order runs along the rows of the 3x60 grid, 60 wide; the greedy
     # order runs down the columns.
     order = _frontier_order(_grid(3, 60))
-    assert _frontier_profile(_grid(3, 60), order)[0] == 3
+    assert _reference_profile(_grid(3, 60), order)[0] == 3
     assert _frontier_order(_gnp(1, 22, 0.5)) is None
+
+
+def _order_cases():
+    yield from (g for _, g in standard_corpus(10, 300))
+    yield from (_grid(3, 60), path_graph(500), cycle_graph(400), _star_plus_edge(1500))
+
+
+def test_greedy_order_matches_reference():
+    for g in _order_cases():
+        assert _greedy_order(g) == _reference_greedy(g)
+
+
+@given(graphs(12))
+@settings(max_examples=200, deadline=None)
+def test_greedy_order_matches_reference_on_random_graphs(g):
+    assert _greedy_order(g) == _reference_greedy(g)
+
+
+def test_state_bound_matches_reference_within_budget():
+    dense = [_gnp(seed, 22, 0.5) for seed in range(3)] + [_gnp(seed, 16, 0.3) for seed in range(3)]
+    for g in list(_order_cases()) + dense:
+        for order in (list(range(g.vertex_count)), _reference_greedy(g)):
+            expected = _reference_profile(g, order)[1]
+            if expected <= FRONTIER_STATE_BUDGET:
+                assert _state_bound(g, order) == expected
+            else:
+                assert _state_bound(g, order) > FRONTIER_STATE_BUDGET
+
+
+def test_order_with_the_smaller_bound_is_chosen():
+    for g in _order_cases():
+        by_id = list(range(g.vertex_count))
+        greedy = _reference_greedy(g)
+        bound_id, bound_greedy = _reference_profile(g, by_id)[1], _reference_profile(g, greedy)[1]
+        if min(bound_id, bound_greedy) > FRONTIER_STATE_BUDGET:
+            assert _frontier_order(g) is None
+        else:
+            assert _frontier_order(g) == (by_id if bound_id <= bound_greedy else greedy)
+
+
+def test_order_scales_past_a_hub():
+    # A min-scan greedy is quadratic here and would take minutes.
+    g = _star_plus_edge(20000)
+    start = time.perf_counter()
+    order = _frontier_order(g)
+    assert time.perf_counter() - start < 5
+    assert sorted(order) == list(range(g.vertex_count))
 
 
 def test_cap_checked_before_any_engine():
