@@ -7,10 +7,15 @@ never enter these computations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
-from typing import Iterator
+from operator import xor
+from struct import Struct
+from typing import Callable, Iterator
 
 from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError
 from .graph import BLACK, WHITE, Coloring
@@ -265,100 +270,88 @@ def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
 # Randomness comes from SplitMix64: sample ``i`` of a stream seeds its own
 # generator with output ``i`` of the stream seeded at ``seed``, so samples are
 # pure functions of (n, seed, i) and index ranges can be sharded freely.
+# ``_words`` computes the stream a packed block of words at a time.
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(seed: int, index: int) -> int:
-    """Output ``index`` of the SplitMix64 stream seeded at ``seed``."""
-    z = (seed + (index + 1) * _GOLDEN64) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+@lru_cache(maxsize=None)
+def _lanes(size: int) -> tuple[int, int, int, Callable[[bytes], tuple[int, ...]]]:
+    """Constants for ``size`` 64-bit lanes packed 128 bits apart in one int:
+    a 1 in each lane, lane j holding (j+1) * golden gamma, the low-64-bit mask
+    of every lane, and the little-endian unpacker of the lanes' low halves."""
+    ones = sum(1 << 128 * j for j in range(size))
+    steps = sum((j + 1) * _GOLDEN64 << 128 * j for j in range(size))
+    return ones, steps, _MASK64 * ones, Struct("<" + "Q8x" * size).unpack
 
 
-class _SplitMix64:
-    """Minimal SplitMix64 stream with unbiased bounded draws."""
+def _words(state: int, size: int = 64) -> Iterator[int]:
+    """The SplitMix64 stream seeded at ``state`` (0 <= state < 2^64).
 
-    __slots__ = ("state",)
-
-    def __init__(self, state: int) -> None:
-        self.state = state & _MASK64
-
-    def next64(self) -> int:
-        self.state = (self.state + _GOLDEN64) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection on the top bits."""
-        bits = n.bit_length()
-        if bits <= 64:
-            shift = 64 - bits
-            while True:
-                r = self.next64() >> shift
-                if r < n:
-                    return r
-        words = (bits + 63) // 64
-        shift = words * 64 - bits
-        while True:
-            r = 0
-            for _ in range(words):
-                r = (r << 64) | self.next64()
-            r >>= shift
-            if r < n:
-                return r
-
-    def coin(self) -> int:
-        return self.next64() >> 63
-
-    def index_sample(self, m: int, k: int) -> list[int]:
-        """k distinct uniform indices from range(m), by sparse Fisher-Yates."""
-        chosen = []
-        swaps: dict[int, int] = {}
-        for i in range(k):
-            j = i + self.randbelow(m - i)
-            vi = swaps.get(i, i)
-            chosen.append(swaps.get(j, j))
-            swaps[j] = vi
-        return chosen
+    Each block of ``size`` outputs is mixed in the lanes of one int, one
+    bignum operation per step for the whole block.  The mask before each
+    multiply drops what a right shift carried in from the next lane, so every
+    product fits its lane's 128 bits; the mask after it keeps the product
+    mod 2^64, as the scalar generator does.  The last shift's carry lands in
+    the high half of each lane, which the unpacker skips.
+    """
+    ones, steps, mask, unpack = _lanes(size)
+    stride = size * _GOLDEN64
+    while True:
+        z = (state * ones + steps) & mask
+        z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        yield from unpack((z ^ (z >> 31)).to_bytes(16 * size, "little"))
+        state = (state + stride) & _MASK64
 
 
-def _composition(rng: _SplitMix64, total: int, parts: int) -> list[int]:
-    """Uniform composition of ``total`` into ``parts`` positive parts."""
-    if parts == 1:
-        return [total]
-    cuts = sorted(1 + c for c in rng.index_sample(total - 1, parts - 1))
-    bounds = [0] + cuts + [total]
-    return [bounds[i + 1] - bounds[i] for i in range(parts)]
+def _streams(n: int, seed: int) -> Iterator[Callable[[], int]]:
+    """The word source of sample 0, 1, ...: the stream seeded with output i of
+    the stream seeded at ``seed``, in blocks of a power of two near n/2 (4..64)
+    words, about what one draw of an n-vertex coloring uses."""
+    size = max(4, min(64, 1 << (n // 2 - 1).bit_length()))
+    for state in _words(seed % 2**64):
+        yield _words(state, size).__next__
 
 
-def _path_word_to_coloring(word: list[bool], first: int) -> Coloring:
-    colors = [first]
-    for balanced in word:
-        colors.append(colors[-1] ^ 1 if balanced else colors[-1])
-    return tuple(colors)
+def _below(nxt: Callable[[], int], n: int) -> int:
+    """Uniform integer in [0, n) by rejection on the top bits of whole words."""
+    words = (n.bit_length() + 63) // 64
+    shift = 64 * words - n.bit_length()
+    while True:
+        r = nxt()
+        for _ in range(words - 1):
+            r = (r << 64) | nxt()
+        r >>= shift
+        if r < n:
+            return r
 
 
-def _sample_path_once(n: int, weights: list[tuple[int, int]], total: int, rng: _SplitMix64) -> Coloring:
-    ticket = rng.randbelow(total)
-    k = weights[-1][0]
-    for k, w in weights:
-        if ticket < w:
-            break
-        ticket -= w
-    parts = _composition(rng, k, n - k)
-    word: list[bool] = []
-    for i, run in enumerate(parts):
-        if i:
-            word.append(False)
-        word.extend([True] * run)
-    first = BLACK if rng.coin() == 0 else WHITE
-    return _path_word_to_coloring(word, first)
+def _run_word(nxt: Callable[[], int], total: int, parts: int) -> bytearray:
+    """Edge word of a uniform composition of ``total`` into ``parts`` positive
+    runs: each run is that many balanced edges (1s), with one unbalanced edge
+    (0) after every run but the last.
+
+    The cut points are a uniform (parts-1)-subset of 1..total-1, drawn by a
+    partial Fisher-Yates shuffle.  Each swap index comes from ``_below``'s
+    rejection, inlined for its one-word case: this loop takes most of a
+    draw's words, and every bound here is a list length, below 2^64.
+    """
+    cuts = list(range(1, total))
+    for i in range(parts - 1):
+        m = total - 1 - i
+        shift = 64 - m.bit_length()
+        j = nxt() >> shift
+        while j >= m:
+            j = nxt() >> shift
+        j += i
+        cuts[i], cuts[j] = cuts[j], cuts[i]
+    word = bytearray(b"\x01") * (total + parts - 1)
+    for t, cut in enumerate(sorted(cuts[: parts - 1])):
+        word[cut + t] = 0
+    return word
 
 
 def sample_path(n: int, seed: int, count: int) -> Iterator[Coloring]:
@@ -370,47 +363,31 @@ def sample_path(n: int, seed: int, count: int) -> Iterator[Coloring]:
     if n < 2:
         raise ValueError("need at least one edge")
     weights, total = _path_weights(n)
-    for index in range(count):
-        yield _sample_path_once(n, weights, total, _SplitMix64(_splitmix64(seed, index)))
-
-
-def _sample_cycle_once(
-    n: int, weights: list[tuple[int, bool, int]], total: int, rng: _SplitMix64
-) -> Coloring:
-    ticket = rng.randbelow(total)
-    k, bookended = weights[-1][0], weights[-1][1]
-    for k, bookended, w in weights:
-        if ticket < w:
-            break
-        ticket -= w
-    word: list[bool] = []
-    parts = _composition(rng, 2 * k, n - 2 * k + 1 if bookended else n - 2 * k)
-    for i, run in enumerate(parts):
-        if i:
-            word.append(False)
-        word.extend([True] * run)
-    if not bookended:
-        if rng.coin():
-            word = [False] + word
-        else:
-            word = word + [False]
-    first = BLACK if rng.coin() == 0 else WHITE
-    colors = [first]
-    for balanced in word[: n - 1]:
-        colors.append(colors[-1] ^ 1 if balanced else colors[-1])
-    return tuple(colors)
+    cumulative = list(accumulate(c for _, c in weights))
+    for _, nxt in zip(range(count), _streams(n, seed)):
+        k = weights[bisect_right(cumulative, _below(nxt, total))][0]
+        word = _run_word(nxt, k, n - k)
+        yield tuple(accumulate(word, xor, initial=(BLACK, WHITE)[nxt() >> 63]))
 
 
 def sample_cycle(n: int, seed: int, count: int) -> Iterator[Coloring]:
     """Exactly uniform samples from the integrated colorings of C_n.
 
-    Same per-index SplitMix64 seeding scheme as ``sample_path``.
+    Same per-index SplitMix64 seeding scheme as ``sample_path``.  A word
+    without balanced edges at both ends gets its unbalanced edge in front or
+    at the back by a coin; the last edge closes the ring and is left out.
     """
     if n < 3:
         raise ValueError("simple rings start at three vertices")
     weights, total = _cycle_weights(n)
-    for index in range(count):
-        yield _sample_cycle_once(n, weights, total, _SplitMix64(_splitmix64(seed, index)))
+    cumulative = list(accumulate(w for _, _, w in weights))
+    for _, nxt in zip(range(count), _streams(n, seed)):
+        k, bookended, _ = weights[bisect_right(cumulative, _below(nxt, total))]
+        word = _run_word(nxt, 2 * k, n - 2 * k + 1 if bookended else n - 2 * k)
+        if not bookended:
+            word.insert(0 if nxt() >> 63 else len(word), 0)
+        first = (BLACK, WHITE)[nxt() >> 63]
+        yield tuple(accumulate(word[: n - 1], xor, initial=first))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ The bivariate generating functions are
     paths: (2z - 2uz^3) / (1 - uz - uz^2)
     rings: (2u^2z^2 + 6u^2z^3 + 4u^2z^4) / (1 - u^2z^2 - 2u^2z^3 - u^2z^4)
 where z marks the number of vertices and u the number of balanced edges.
-Coefficients of z^n are extracted through the linear recurrences the
-denominators induce, never through series division, so every coefficient is
-an exact integer.
+The tables of coefficients of z^n are extracted through the linear
+recurrences the denominators induce, never through series division, so every
+coefficient is an exact integer.  A single row is read from the family's
+count vector instead, and the tables are its oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import families
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,12 @@ def path_gf_coeffs(max_n: int) -> list[UPoly]:
 
 
 def path_gf_coeff(n: int) -> UPoly:
-    return path_gf_coeffs(n)[-1]
+    """[z^n] of the path generating function, read from the O(n) count vector
+    ``families._path_weights`` rather than the table; ``path_gf_coeffs`` is
+    the recurrence oracle it must equal."""
+    if n < 1:
+        raise ValueError("need max_n >= 1")
+    return _dense(families._path_weights(n)[0])
 
 
 def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
@@ -106,7 +114,20 @@ def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
 
 
 def cycle_gf_coeff(n: int) -> UPoly:
-    return cycle_gf_coeffs(n)[-1]
+    """[z^n] of the ring generating function: both classes of
+    ``families._cycle_weights`` summed at power 2k, zeros at the odd powers;
+    ``cycle_gf_coeffs`` is the recurrence oracle it must equal."""
+    if n < 2:
+        raise ValueError("need max_n >= 2")
+    return _dense([(2 * k, c) for k, _, c in families._cycle_weights(n)[0]])
+
+
+def _dense(terms: list[tuple[int, int]]) -> UPoly:
+    """The sum of c u^k over the (k, c) pairs."""
+    coeffs = [0] * (max(k for k, _ in terms) + 1)
+    for k, c in terms:
+        coeffs[k] += c
+    return UPoly.of(coeffs)
 
 
 def pgf_moments(p: UPoly) -> tuple[Fraction, Fraction]:

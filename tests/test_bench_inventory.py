@@ -1,15 +1,20 @@
 """The traced bench wraps library functions by name (``bench/layers.py``);
 each name must still exist, so a rename or an inline fails here rather than
-in a traced run."""
+in a traced run.  The count layers that ``layers.EXPECTED`` requires must also
+still be fed: a request that stops reaching the function a count is read from
+leaves that layer at zero, and the traced run then fails."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
+
+from mixspec.cli import main
 
 _spec = importlib.util.spec_from_file_location(
     "bench_layers", Path(__file__).resolve().parents[1] / "bench" / "layers.py")
@@ -30,3 +35,42 @@ def test_timed_name_is_a_callable(name):
 @pytest.mark.parametrize("name", layers.GENERATORS)
 def test_generator_name_is_a_generator_function(name):
     assert inspect.isgeneratorfunction(_resolve(name)), name
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Wrap ``mixspec.<name>`` wherever a mixspec module holds it, as the
+    traced run does, and return the list each call appends to."""
+    original = _resolve(name)
+    calls: list[int] = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "mixspec" or module_name.startswith("mixspec."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+# (count layers, the function whose calls feed them, a small request of the
+# kind ``large_n`` sends).  A change to ``bench/`` that moves a count layer
+# updates these cases together with ``layers.EXPECTED``.
+_LARGE_N_COUNTS = [
+    (("genfunc.rows", "genfunc.coeff_bits"), "genfunc.cycle_gf_coeffs",
+     "moments --family cycle --n 20"),
+    (("bounds.alpha_calls",), "bounds.alpha", "bound --family cycle --n 50"),
+    (("families.draws",), "families.sample_path", "sample --family path --n 60 --seed 1 --count 3"),
+    (("families.draws",), "families.sample_cycle", "sample --family cycle --n 60 --seed 1 --count 3"),
+]
+
+
+@pytest.mark.parametrize("metrics, name, argv", _LARGE_N_COUNTS)
+def test_large_n_count_layers_are_reached(monkeypatch, capsys, metrics, name, argv):
+    assert set(metrics) <= set(layers.EXPECTED["large_n"])
+    calls = _count_calls(monkeypatch, name)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert calls, f"{argv!r} no longer reaches {name}, which feeds {metrics}"

@@ -348,6 +348,23 @@ def test_closed_pipe_exits_0_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_gf_row_at_8000_fits_one_gigabyte():
+    # Building the whole table for one row ran out of memory under this limit.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from mixspec.cli import main; sys.exit(main())",
+         "gf", "--family", "path", "--n", "8000"],
+        capture_output=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["count"] == str(families.ic_path(8000))
+
+
 def test_out_of_memory_exit3(capsys, monkeypatch, feed_stdin):
     def exhausted(text):
         raise MemoryError

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from mixspec.families import (
     _cycle_class_counts,
     _cycle_weights,
     _path_weights,
+    _words,
     comb0,
     cycle_count_closed_form,
     cycle_mix_count,
@@ -29,6 +31,8 @@ from mixspec.families import (
     sample_path,
 )
 from mixspec.graph import (
+    BLACK,
+    WHITE,
     biclique_graph,
     coloring_from_string,
     complete_graph,
@@ -307,3 +311,159 @@ def test_cycle_weights_match_per_k_binomials():
             if mixed:
                 expected.append((k, False, mixed))
         assert _cycle_weights(n) == (expected, sum(w for _, _, w in expected)), n
+
+
+# -- reference sampler ---------------------------------------------------------
+#
+# The scalar SplitMix64 samplers that ``_words`` and the packed samplers
+# replaced, one generator step per word.  They define the sample stream, so
+# the fast samplers must reproduce them word for word.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(seed, index):
+    """Output ``index`` of the SplitMix64 stream seeded at ``seed``."""
+    z = (seed + (index + 1) * _GOLDEN64) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class _SplitMix64:
+    """Minimal SplitMix64 stream with unbiased bounded draws."""
+
+    def __init__(self, state):
+        self.state = state & _MASK64
+
+    def next64(self):
+        self.state = (self.state + _GOLDEN64) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randbelow(self, n):
+        """Uniform integer in [0, n) by rejection on the top bits."""
+        bits = n.bit_length()
+        if bits <= 64:
+            shift = 64 - bits
+            while True:
+                r = self.next64() >> shift
+                if r < n:
+                    return r
+        words = (bits + 63) // 64
+        shift = words * 64 - bits
+        while True:
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.next64()
+            r >>= shift
+            if r < n:
+                return r
+
+    def coin(self):
+        return self.next64() >> 63
+
+    def index_sample(self, m, k):
+        """k distinct uniform indices from range(m), by sparse Fisher-Yates."""
+        chosen = []
+        swaps = {}
+        for i in range(k):
+            j = i + self.randbelow(m - i)
+            vi = swaps.get(i, i)
+            chosen.append(swaps.get(j, j))
+            swaps[j] = vi
+        return chosen
+
+
+def _composition(rng, total, parts):
+    """Uniform composition of ``total`` into ``parts`` positive parts."""
+    if parts == 1:
+        return [total]
+    cuts = sorted(1 + c for c in rng.index_sample(total - 1, parts - 1))
+    bounds = [0] + cuts + [total]
+    return [bounds[i + 1] - bounds[i] for i in range(parts)]
+
+
+def _runs_to_word(parts):
+    word = []
+    for i, run in enumerate(parts):
+        if i:
+            word.append(False)
+        word.extend([True] * run)
+    return word
+
+
+def _sample_path_once(n, weights, total, rng):
+    ticket = rng.randbelow(total)
+    for k, w in weights:
+        if ticket < w:
+            break
+        ticket -= w
+    word = _runs_to_word(_composition(rng, k, n - k))
+    colors = [BLACK if rng.coin() == 0 else WHITE]
+    for balanced in word:
+        colors.append(colors[-1] ^ 1 if balanced else colors[-1])
+    return tuple(colors)
+
+
+def _sample_cycle_once(n, weights, total, rng):
+    ticket = rng.randbelow(total)
+    for k, bookended, w in weights:
+        if ticket < w:
+            break
+        ticket -= w
+    word = _runs_to_word(_composition(rng, 2 * k, n - 2 * k + 1 if bookended else n - 2 * k))
+    if not bookended:
+        if rng.coin():
+            word = [False] + word
+        else:
+            word = word + [False]
+    colors = [BLACK if rng.coin() == 0 else WHITE]
+    for balanced in word[: n - 1]:
+        colors.append(colors[-1] ^ 1 if balanced else colors[-1])
+    return tuple(colors)
+
+
+def _reference_samples(family, n, seed, count):
+    weights, total = _path_weights(n) if family == "path" else _cycle_weights(n)
+    once = _sample_path_once if family == "path" else _sample_cycle_once
+    return [once(n, weights, total, _SplitMix64(_splitmix64(seed, i))) for i in range(count)]
+
+
+# Seeds at both ends of the 64-bit range, negative, and wider than 64 bits.
+_SEEDS = [0, 1, -1, 2**64 - 1, 2**64 + 5, 0xB7E1_5162_8AED_2A6A_BF71]
+
+
+@pytest.mark.parametrize("size", [4, 8, 16, 32, 64])
+def test_packed_words_match_scalar_stream(size):
+    # The last state wraps past 2^64 in the third lane: s + 3 gamma = 2^64 + 7.
+    for state in (0, 1, 2**64 - 1, (7 - 3 * _GOLDEN64) % 2**64):
+        rng = _SplitMix64(state)
+        expected = [rng.next64() for _ in range(300)]
+        assert list(islice(_words(state, size), 300)) == expected, (state, size)
+
+
+def test_per_index_seeds_are_the_seed_stream():
+    for seed in _SEEDS:
+        got = list(islice(_words(seed % 2**64), 130))
+        assert got == [_splitmix64(seed, i) for i in range(130)], seed
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_samplers_match_scalar_reference(seed):
+    cases = [("path", n, 4) for n in [*range(2, 71), 200, 2001]]
+    cases += [("cycle", n, 4) for n in [*range(3, 71), 200, 2001]]
+    for family, n, count in cases:
+        sampler = sample_path if family == "path" else sample_cycle
+        got = list(sampler(n, seed, count))
+        assert got == _reference_samples(family, n, seed, count), (family, n, seed)
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_samplers_match_scalar_reference_at_6000(family):
+    sampler = sample_path if family == "path" else sample_cycle
+    for seed in (1, 2**64 + 5):
+        assert list(sampler(6000, seed, 3)) == _reference_samples(family, 6000, seed, 3)

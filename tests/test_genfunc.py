@@ -58,6 +58,23 @@ def test_cycle_gf_small_orders():
     assert cycle_gf_coeff(6).coeffs == (0, 0, 0, 0, 18, 0, 2)
 
 
+def test_single_rows_equal_the_recurrence_tables():
+    # One row comes from the family count vector; the tables are its oracle.
+    paths = path_gf_coeffs(400)
+    cycles = cycle_gf_coeffs(400)
+    for n in range(1, 401):
+        assert path_gf_coeff(n) == paths[n - 1], n
+    for n in range(2, 401):
+        assert cycle_gf_coeff(n) == cycles[n - 2], n
+
+
+def test_single_rows_reject_orders_below_the_family_range():
+    with pytest.raises(ValueError, match=r"^need max_n >= 1$"):
+        path_gf_coeff(0)
+    with pytest.raises(ValueError, match=r"^need max_n >= 2$"):
+        cycle_gf_coeff(1)
+
+
 def test_gf_coefficients_equal_pmf_numerators():
     paths = path_gf_coeffs(64)
     cycles = cycle_gf_coeffs(64)

@@ -90,7 +90,14 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     # cover n = 0, 1, 2, 3 (mod 4), which move where each diagonal starts.
     "sample-path-2001": ("sample --family path --n 2001 --seed 4 --count 2", None, 0, "baa88ce16b5e836c6ab144529d74b7268a92f4a6bc9ac17a5e4a7d8199e9fcad"),
     "sample-cycle-2003": ("sample --family cycle --n 2003 --seed 4 --count 2", None, 0, "5af37d5dd23b030faba4536a6700e6dfe139507ac87487aa33fc0813244b6193"),
-    "pmf-cycle-401-csv": ("pmf --family cycle --n 401 --format csv", None, 0, "3102d573dbda7f688a1d78c48c4043ca645de69bfc3a55c5e3d6c973af2efcc4"),
+    # Draws that cross several blocks of generator words, a seed past 2^64,
+    # and one row of a GF table at n = 2000.
+    "sample-path-60x400": ("sample --family path --n 60 --seed 3 --count 400", None, 0, "c94a6b7802ef868f4ed9957989ddbe3c8fff97d74797fbad4c4a44ac1678801f"),
+    "sample-cycle-61-wide-seed": ("sample --family cycle --n 61 --seed 18446744073709551621 --count 400", None, 0, "6b9bf8b5107d577acfb0f69ee7f6c3eb789f7ee5329afb937ed5e25364e89efb"),
+    "sample-cycle-6000": ("sample --family cycle --n 6000 --seed 7 --count 2", None, 0, "45b3e34ab3aed04e7ad75da22a44a1574f07289cfe4316f792c06066bf857676"),
+    "gf-path-2000": ("gf --family path --n 2000", None, 0, "b228ffff92bb5f291991c55e768235b901692c62c9bed273bf4426e74b30d6ab"),
+    "gf-cycle-1999-csv": ("gf --family cycle --n 1999 --format csv", None, 0, "624bb9f5ef982ee36f8e1b18af9a68f6a3391ee771a08d88737e925c0518ac55"),
+    "pmf-cycle-401-csv":("pmf --family cycle --n 401 --format csv", None, 0, "3102d573dbda7f688a1d78c48c4043ca645de69bfc3a55c5e3d6c973af2efcc4"),
     "pmf-cycle-400": ("pmf --family cycle --n 400", None, 0, "b02ecbdabb2f67536fbde35b0c184bd333d048ca75fea5e1029cb6c0ad827202"),
     "pmf-cycle-402-csv": ("pmf --family cycle --n 402 --format csv", None, 0, "419909b1219573a5de0646e3f13bef81e2f2719b04356aafc05cf0841ac47336"),
     "gf-cycle-203": ("gf --family cycle --n 203", None, 0, "80c990c6a1462c2a443f26fe2b7a0a99440ecacec176008fd2c1b80c015c8ffb"),
