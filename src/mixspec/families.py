@@ -270,7 +270,6 @@ def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
 # Randomness comes from SplitMix64: sample ``i`` of a stream seeds its own
 # generator with output ``i`` of the stream seeded at ``seed``, so samples are
 # pure functions of (n, seed, i) and index ranges can be sharded freely.
-# ``_words`` computes the stream a packed block of words at a time.
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -298,13 +297,12 @@ def _words(state: int, size: int = 64) -> Iterator[int]:
     the high half of each lane, which the unpacker skips.
     """
     ones, steps, mask, unpack = _lanes(size)
-    stride = size * _GOLDEN64
     while True:
         z = (state * ones + steps) & mask
         z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
         z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
         yield from unpack((z ^ (z >> 31)).to_bytes(16 * size, "little"))
-        state = (state + stride) & _MASK64
+        state = (state + size * _GOLDEN64) & _MASK64
 
 
 def _streams(n: int, seed: int) -> Iterator[Callable[[], int]]:
@@ -339,6 +337,8 @@ def _run_word(nxt: Callable[[], int], total: int, parts: int) -> bytearray:
     rejection, inlined for its one-word case: this loop takes most of a
     draw's words, and every bound here is a list length, below 2^64.
     """
+    if parts == 1:
+        return bytearray(b"\x01") * total
     cuts = list(range(1, total))
     for i in range(parts - 1):
         m = total - 1 - i
