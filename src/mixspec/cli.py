@@ -25,7 +25,6 @@ from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError, enumerate_integra
 from .graph import (
     Graph,
     biclique_graph,
-    coloring_to_string,
     complete_graph,
     cycle_graph,
     format_edge_list,
@@ -134,6 +133,25 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, separators=(",", ":")))
 
 
+# A coloring holds one 0 or 1 per vertex, so a bytearray takes it as bytes;
+# a whole block of lines is turned into digits at C level and written at
+# once, and the size bound keeps memory flat however long a line is.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _emit_colorings(colorings) -> None:
+    """Write one line of 0s and 1s per coloring, in blocks of about 64 KiB."""
+    block = bytearray()
+    for coloring in colorings:
+        block.extend(coloring)
+        block.append(10)  # "\n"
+        if len(block) >= 1 << 16:
+            sys.stdout.write(block.translate(_DIGITS).decode())
+            block.clear()
+    if block:
+        sys.stdout.write(block.translate(_DIGITS).decode())
+
+
 # ---------------------------------------------------------------------------
 # Verb implementations
 # ---------------------------------------------------------------------------
@@ -146,8 +164,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
-    for coloring in enumerate_integrated(g, cap=_effective_cap(args)):
-        sys.stdout.write(coloring_to_string(coloring) + "\n")
+    _emit_colorings(enumerate_integrated(g, cap=_effective_cap(args)))
     return EXIT_OK
 
 
@@ -214,8 +231,7 @@ def _cmd_sample(args) -> int:
         raise UsageError("sample supports --family path or cycle")
     _require_n(args)
     sampler = families.sample_path if args.family == "path" else families.sample_cycle
-    for coloring in sampler(args.n, args.seed, args.count):
-        sys.stdout.write(coloring_to_string(coloring) + "\n")
+    _emit_colorings(sampler(args.n, args.seed, args.count))
     return EXIT_OK
 
 

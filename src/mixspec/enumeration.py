@@ -3,12 +3,17 @@
 This module is the brute-force oracle that validates the closed-form counts,
 distributions, and bounds elsewhere in the package.  One iterative search
 kernel, ``_search``, serves ``enumerate_integrated`` and ``mix_histogram``.
-Its explicit stack is the ``colors`` list, so depth is bounded by memory,
-not by Python's recursion limit: a raised cap can go well past 1000 vertices
-on graphs whose search stays small.  Every leaf passes a guard that ignores
-the search's incremental counters and recomputes each vertex's mix from
-bitmasks, so a pruning bug could cost time but never emit a wrong coloring.
-``max_cut`` walks the 2^(n-1) splits in Gray-code order (``_gray_cuts``).
+It keeps each vertex's slack (how many more same-colored neighbors it can
+take) in bit-sliced planes, one snapshot per depth, so placing a vertex
+updates all its neighbors with a few whole-mask operations.  Its explicit
+stack is the ``colors`` list, so depth is bounded by memory, not by Python's
+recursion limit: a raised cap can go well past 1000 vertices on graphs whose
+search stays small.  Every leaf passes a guard that ignores the slacks and
+recomputes each vertex's mix from bitmasks, so a pruning bug could cost time
+but never emit a wrong coloring.  ``mix_histogram`` searches only the
+colorings with vertex 0 black and doubles the counts, since swapping the
+colors is a bijection that keeps every mix.  ``max_cut`` walks the 2^(n-1)
+splits in Gray-code order (``_gray_cuts``).
 
 ``exact_histogram`` gives the same histogram as ``mix_histogram`` from the
 cheapest engine that applies: the closed forms for complete graphs and
@@ -26,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
 from .graph import BLACK, WHITE, Coloring, Graph
@@ -53,11 +59,22 @@ def _masks(g: Graph) -> list[int]:
 def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
     """Yield every integrated coloring with its mixing number, lexicographically.
 
-    A partial assignment is pruned as soon as some assigned vertex v can no
-    longer reach mix(v) >= deg(v)/2 even if all its unassigned neighbors turn
-    out opposite.  Unassigned vertices can always pick the minority color of
-    their already-assigned neighbors, so only the vertex just assigned and
-    its earlier neighbors need the test.
+    Vertices are placed in id order.  The slack of a placed vertex w is
+    half[w] = floor(deg(w)/2) minus its same-colored placed neighbors.  Its
+    unplaced neighbors may all still turn out opposite, so w can still end
+    up integrated exactly when its slack is not negative; an unplaced vertex
+    can always pick the minority color of its placed neighbors.  Placing v
+    lowers the slack of ``same``, its earlier neighbors of v's color, by
+    one, and gives v the slack half[v] - |same|; opposite-colored neighbors
+    keep theirs.  So the node is pruned when ``same`` meets a vertex of
+    slack 0 or |same| > half[v], and v adds its other earlier edges to the
+    balanced ones.
+
+    Vertices of slack at least 1 form ``live`` and hold slack - 1 bit-sliced:
+    bit w of plane i is bit i of w's slack - 1 (half[w] - 1 while unplaced).
+    One borrow chain over the planes lowers all of ``same`` at once, and the
+    borrow out of the top plane is the set that reached 0 and leaves
+    ``live``.  Each depth keeps its own planes, so backtracking undoes nothing.
     """
     n = g.vertex_count
     if n == 0:
@@ -65,62 +82,66 @@ def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
         return
     adj = _masks(g)
     deg = [len(nbrs) for nbrs in g.adjacency]
-    earlier = [[w for w in nbrs if w < v] for v, nbrs in enumerate(g.adjacency)]
-    later = [[w for w in nbrs if w > v] for v, nbrs in enumerate(g.adjacency)]
+    half = [d // 2 for d in deg]
+    earlier = [a & ((1 << v) - 1) for v, a in enumerate(adj)]
+    earlier_count = [e.bit_count() for e in earlier]
+    width = max(max(half) - 1, 0).bit_length()
+    # Index d: the state once vertices 0..d-1 are placed.
+    planes = [[sum(1 << w for w in range(n) if half[w] and (half[w] - 1) >> i & 1)
+               for i in range(width)]] * n
+    live = [sum(1 << w for w in range(n) if half[w])] * n
+    balanced = [0] * n
     full = (1 << n) - 1
     colors = [-1] * n  # -1: not tried yet; otherwise the color in force
-    opp = [0] * n      # opposite-colored neighbors, counted once both ends are set
-    seen = [0] * n     # assigned neighbors
     white = 0          # bitmask of white vertices
-    balanced = 0       # balanced edges among assigned vertices
     last = n - 1
     v = 0
     while True:
         color = colors[v]
-        if color >= 0:  # undo the assignment in force at v
-            for w in later[v]:
-                seen[w] -= 1
-            for w in earlier[v]:
-                seen[w] -= 1
-                if colors[w] != color:
-                    opp[w] -= 1
-            balanced -= opp[v]
-            opp[v] = 0
-            if color == WHITE:
-                white ^= 1 << v
-                colors[v] = -1
-                if v == 0:
-                    return
-                v -= 1
-                continue
+        if color == WHITE:
+            white ^= 1 << v
+            colors[v] = -1
+            if v == 0:
+                return
+            v -= 1
+            continue
         color += 1  # BLACK (0) first, then WHITE (1)
         colors[v] = color
         if color == WHITE:
             white |= 1 << v
-        for w in later[v]:
-            seen[w] += 1
-        gained = 0
-        viable = True
-        for w in earlier[v]:
-            seen[w] += 1
-            if colors[w] != color:
-                opp[w] += 1
-                gained += 1
-            if 2 * (opp[w] + deg[w] - seen[w]) < deg[w]:
-                viable = False
-        opp[v] = gained
-        balanced += gained
-        if not viable or 2 * (gained + deg[v] - seen[v]) < deg[v]:
+            same = earlier[v] & white
+        else:
+            same = earlier[v] & ~white
+        if same & ~live[v]:
             continue
+        k = same.bit_count()
+        if k > half[v]:
+            continue
+        mix = balanced[v] + earlier_count[v] - k
         if v < last:
+            level, nonzero = planes[v], live[v]
+            if k:
+                rest = half[v] - k
+                bit = 1 << v
+                # v's bits go from half[v] - 1 to rest - 1 (unread once rest is 0).
+                own = ((half[v] - 1) ^ (rest - 1)) << v
+                borrow, level = same, level[:]
+                for i in range(width):
+                    plane = level[i]
+                    level[i] = plane ^ borrow ^ (own >> i & bit)
+                    borrow &= ~plane
+                nonzero &= ~borrow
+                if not rest:
+                    nonzero ^= bit
             v += 1
+            planes[v], live[v], balanced[v] = level, nonzero, mix
             continue
         black = full ^ white
         for cw, a, d in zip(colors, adj, deg):
             if 2 * (a & (black if cw else white)).bit_count() < d:
                 break
         else:
-            yield tuple(colors), balanced
+            yield tuple(colors), mix
 
 
 def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]:
@@ -154,10 +175,18 @@ class MixHistogram:
 
 
 def mix_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
-    """Histogram of mix(C) over the full enumeration of integrated colorings."""
+    """Histogram of mix(C) over the full enumeration of integrated colorings.
+
+    Swapping the two colors maps integrated colorings to integrated ones and
+    keeps every edge's balance, so only the first half in lexicographic
+    order, the colorings with vertex 0 black, is searched and then doubled.
+    """
     _check_cap(g, cap)
-    counter: Counter[int] = Counter(mix for _, mix in _search(g))
-    return MixHistogram(dict(sorted(counter.items())))
+    if g.vertex_count == 0:
+        return MixHistogram({0: 1})
+    first_half = takewhile(lambda found: found[0][0] == BLACK, _search(g))
+    counter: Counter[int] = Counter(mix for _, mix in first_half)
+    return MixHistogram({mix: 2 * count for mix, count in sorted(counter.items())})
 
 
 # Largest number of frontier states the DP may hold at once, bounded before it

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 import sys
 
 import pytest
 
 from mixspec.cli import main
+
+
+def _gnp(n: int, p: float, seed: int) -> str:
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
 
 # Edge lists fed on stdin to the ``--input -`` cases.
 STDIN = {
@@ -42,6 +50,9 @@ STDIN = {
     "grid3x7": "n 21\n" + "".join(
         f"{v} {w}\n" for v in range(21) for w in (v + 1, v + 7)
         if w < 21 and (w == v + 7 or w % 7)),
+    # A dense seeded G(18, 0.5), 74 edges: too wide for the frontier DP, so
+    # ``spectrum`` runs the search too.
+    "gnp18": _gnp(18, 0.5, 18),
 }
 
 # case id -> (argv, stdin key or None, exit code, SHA-256 of stdout)
@@ -121,6 +132,8 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "spectrum-grid3x7-csv": ("spectrum --input - --format csv", "grid3x7", 0, "0334002469b7c89e95243faae50df20801429d6116644c94d56aec4c9ef1b3bc"),
     "moments-input-chorded": ("moments --input -", "chorded", 0, "7f549f5dd404e0c36b44dcc50b80e42931ecdd2b787934b0925ce7c58a14eabd"),
     "bound-exact-chorded": ("bound --input - --exact", "chorded", 0, "ca0d402a743bd14aa8323985c5160c4cf79603314b0109fa80274476a541b131"),
+    "spectrum-gnp18": ("spectrum --input -", "gnp18", 0, "e29b49f121083be5404620e243aa48e03ab32e14a10acd6b073f2609640ca2ff"),
+    "enumerate-gnp18": ("enumerate --input -", "gnp18", 0, "4f2af99ff32b1cf5ba7221e4f8146b9c7d4e163f696e6573c3a8dce9924644c1"),
     "verify-small": ("verify --max-n 6 --random-count 5", None, 0, "d82cdf4c33b0bfc87ea679cf00ad02905f09933f69b969180a0b76e0e07c0fa2"),
     # 90 oracle graphs and 2025 V'' pairs for the semi-random oracles.
     "verify-oracles": ("verify --max-n 8 --random-count 40", None, 0, "4019111df35c3c669c297608900e8eb0b1c44decbbb55c1c229f015b92818ad9"),
