@@ -21,8 +21,9 @@ E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
 probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
 pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
 
-The oracle walks the 2^{|V'|} semi-random draws once and counts them by the
-subset of V'' they integrate; both oracles are sums over that one count.
+The oracle walks the 2^{|V'|} semi-random draws once, tests each with
+``graph.failing_vertices`` (reference: ``is_integrated``), and counts them by
+the subset of V'' they integrate; both oracles are sums over that one count.
 
 All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
 beyond the double range.
@@ -36,12 +37,12 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, isqrt
 
-from .enumeration import _masks
 from .graph import (
     Graph,
     NeighborhoodStats,
     connected_components,
     detect_srg,
+    failing_vertices,
     induced_subgraph,
     is_connected,
     neighborhood_stats,
@@ -349,13 +350,10 @@ def _success_masks(g: Graph, cap: int) -> tuple[Counter[int], int]:
         raise InapplicableError(
             f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {cap}"
         )
-    n = g.vertex_count
-    adj = _masks(g)
-    deg = [mask.bit_count() for mask in adj]
+    failing = failing_vertices(g)
     vp = sum(1 << v for v in stats.v_prime)
     vpp = sum(1 << v for v in stats.v_double_prime)
-    pendant_bits = [(1 << p, adj[p]) for p in sorted(stats.pendants)]
-    full = (1 << n) - 1
+    pendant_bits = [(1 << p, 1 << q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
     counts: Counter[int] = Counter()
     draw = 0
     while True:
@@ -363,16 +361,11 @@ def _success_masks(g: Graph, cap: int) -> tuple[Counter[int], int]:
         for p, q in pendant_bits:  # each pendant takes the color opposite its neighbor
             if not white & q:
                 white |= p
-        black = full ^ white
-        ok = 0
-        for v in range(n):
-            opposite = black if (white >> v) & 1 else white
-            if 2 * (adj[v] & opposite).bit_count() >= deg[v]:
-                ok |= 1 << v
-        if full & ~(ok | vpp):
+        bad = failing(white)
+        if bad & ~vpp:
             # Vertices outside V'' are always integrated by construction.
             raise AssertionError("vertex outside V'' failed integration")
-        counts[ok & vpp] += 1
+        counts[vpp & ~bad] += 1
         draw = (draw - vp) & vp  # the next subset of V'; 0 again after the last
         if not draw:
             return counts, vpp

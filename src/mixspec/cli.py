@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -296,16 +297,16 @@ def _cmd_bound(args) -> int:
     if args.exact:
         exact_ic = exact_histogram(g, cap=_effective_cap(args)).ic
     if variant == "auto":
-        general = bounds_mod.bound_general(g)
+        general = replace(bounds_mod.bound_general(g), exact_ic=exact_ic)
         chosen = None
         for candidate in ("srg", "regular", "min_degree"):
             report = bounds_mod.bound_specialized(g, candidate)
             if report.applicable:
-                chosen = report
+                chosen = replace(report, exact_ic=exact_ic)
                 break
         payload = {
-            "general": _bound_dict(general, exact_ic),
-            "specialized": _bound_dict(chosen, exact_ic) if chosen else None,
+            "general": general.to_json_dict(),
+            "specialized": chosen.to_json_dict() if chosen else None,
         }
         _emit_json(payload)
         return EXIT_OK if general.applicable else EXIT_INAPPLICABLE
@@ -313,15 +314,8 @@ def _cmd_bound(args) -> int:
         report = bounds_mod.bound_general(g)
     else:
         report = bounds_mod.bound_specialized(g, variant)
-    _emit_json(_bound_dict(report, exact_ic))
+    _emit_json(replace(report, exact_ic=exact_ic).to_json_dict())
     return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
-
-
-def _bound_dict(report: bounds_mod.BoundReport, exact_ic: int | None) -> dict:
-    data = report.to_json_dict()
-    if exact_ic is not None:
-        data["exact_ic"] = str(exact_ic)
-    return data
 
 
 def _cmd_verify(args) -> int:
@@ -431,10 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CapExceededError as exc:
-        print(f"mixspec: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except bounds_mod.InapplicableError as exc:
+    except (CapExceededError, bounds_mod.InapplicableError) as exc:
         print(f"mixspec: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (UsageError, ValueError) as exc:

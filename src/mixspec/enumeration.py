@@ -9,11 +9,12 @@ updates all its neighbors with a few whole-mask operations.  Its explicit
 stack is the ``colors`` list, so depth is bounded by memory, not by Python's
 recursion limit: a raised cap can go well past 1000 vertices on graphs whose
 search stays small.  Every leaf passes a guard that ignores the slacks and
-recomputes each vertex's mix from bitmasks, so a pruning bug could cost time
-but never emit a wrong coloring.  ``mix_histogram`` searches only the
-colorings with vertex 0 black and doubles the counts, since swapping the
-colors is a bijection that keeps every mix.  ``max_cut`` walks the 2^(n-1)
-splits in Gray-code order (``_gray_cuts``).
+runs the shared bitmask integration test ``graph.failing_vertices`` (Propp's
+local search runs it after each flip), so a pruning bug could cost time but
+never emit a wrong coloring.  ``mix_histogram`` searches only the colorings
+with vertex 0 black and doubles the counts, since swapping the colors is a
+bijection that keeps every mix.  ``max_cut`` walks the 2^(n-1) splits in
+Gray-code order (``_gray_cuts``).
 
 ``exact_histogram`` gives the same histogram as ``mix_histogram`` from the
 cheapest engine that applies: the closed forms for complete graphs and
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Iterator
 
-from .graph import BLACK, WHITE, Coloring, Graph
+from .graph import BLACK, WHITE, Coloring, Graph, adjacency_masks, failing_vertices
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -43,17 +44,10 @@ class CapExceededError(ValueError):
     """Raised when a graph is too large for exhaustive search."""
 
 
-def _check_cap(g: Graph, cap: int | None) -> None:
+def _check_cap(n: int, cap: int | None) -> None:
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
-    if g.vertex_count > limit:
-        raise CapExceededError(
-            f"graph has {g.vertex_count} vertices; exhaustive enumeration is capped at {limit}"
-        )
-
-
-def _masks(g: Graph) -> list[int]:
-    """Adjacency as bitmasks: bit w of ``masks[v]`` is set when v ~ w."""
-    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    if n > limit:
+        raise CapExceededError(f"graph has {n} vertices; exhaustive enumeration is capped at {limit}")
 
 
 def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
@@ -80,9 +74,9 @@ def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
     if n == 0:
         yield (), 0
         return
-    adj = _masks(g)
-    deg = [len(nbrs) for nbrs in g.adjacency]
-    half = [d // 2 for d in deg]
+    adj = adjacency_masks(g)
+    half = [len(nbrs) // 2 for nbrs in g.adjacency]
+    failing = failing_vertices(g)
     earlier = [a & ((1 << v) - 1) for v, a in enumerate(adj)]
     earlier_count = [e.bit_count() for e in earlier]
     width = max(max(half) - 1, 0).bit_length()
@@ -91,7 +85,6 @@ def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
                for i in range(width)]] * n
     live = [sum(1 << w for w in range(n) if half[w])] * n
     balanced = [0] * n
-    full = (1 << n) - 1
     colors = [-1] * n  # -1: not tried yet; otherwise the color in force
     white = 0          # bitmask of white vertices
     last = n - 1
@@ -136,17 +129,13 @@ def _search(g: Graph) -> Iterator[tuple[Coloring, int]]:
             v += 1
             planes[v], live[v], balanced[v] = level, nonzero, mix
             continue
-        black = full ^ white
-        for cw, a, d in zip(colors, adj, deg):
-            if 2 * (a & (black if cw else white)).bit_count() < d:
-                break
-        else:
+        if not failing(white):
             yield tuple(colors), mix
 
 
 def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]:
     """Yield every integrated coloring exactly once, in lexicographic order."""
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     for coloring, _ in _search(g):
         yield coloring
 
@@ -181,7 +170,7 @@ def mix_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
     keeps every edge's balance, so only the first half in lexicographic
     order, the colorings with vertex 0 black, is searched and then doubled.
     """
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     if g.vertex_count == 0:
         return MixHistogram({0: 1})
     first_half = takewhile(lambda found: found[0][0] == BLACK, _search(g))
@@ -201,7 +190,7 @@ def exact_histogram(g: Graph, cap: int | None = None) -> MixHistogram:
     with a narrow vertex order by the frontier DP, and every other graph by
     the search.  The cap applies to all three, so it keeps its meaning.
     """
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     counts = _closed_form_counts(g)
     if counts is None:
         order = _frontier_order(g)
@@ -401,7 +390,7 @@ def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:
     walk.  Masks come in Gray-code order: flipping v turns its ``same``
     same-colored edges into cut edges and its other edges into uncut ones.
     """
-    adj = _masks(g)
+    adj = adjacency_masks(g)
     deg = [len(nbrs) for nbrs in g.adjacency]
     white = cut = 0
     yield white, cut
@@ -416,7 +405,7 @@ def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:
 
 def max_cut(g: Graph, cap: int | None = None) -> int:
     """Exact max-cut size by exhausting all 2^(n-1) splits."""
-    _check_cap(g, cap)
+    _check_cap(g.vertex_count, cap)
     if g.edge_count == 0:
         return 0
     return max(cut for _, cut in _gray_cuts(g))
@@ -431,15 +420,10 @@ def propp_local_search(g: Graph, start: Coloring) -> tuple[Coloring, int]:
     """
     if len(start) != g.vertex_count:
         raise ValueError("coloring length does not match vertex count")
-    colors = list(start)
+    failing = failing_vertices(g)
+    white = sum(1 << v for v, color in enumerate(start) if color == WHITE)
     flips = 0
-    while True:
-        for v in range(g.vertex_count):
-            cv = colors[v]
-            mix = sum(1 for w in g.adjacency[v] if colors[w] != cv)
-            if 2 * mix < g.degree(v):
-                colors[v] = WHITE if cv == BLACK else BLACK
-                flips += 1
-                break
-        else:
-            return tuple(colors), flips
+    while bad := failing(white):
+        white ^= bad & -bad
+        flips += 1
+    return tuple((white >> v) & 1 for v in range(g.vertex_count)), flips

@@ -17,7 +17,7 @@ from operator import xor
 from struct import Struct
 from typing import Callable, Iterator
 
-from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError
+from .enumeration import _check_cap
 from .graph import BLACK, WHITE, Coloring
 
 
@@ -424,9 +424,7 @@ def necklace_enumerate(n: int, cap: int | None = None) -> Iterator[Coloring]:
     phases and both global colors), then fills the rest linearly.  The result
     is set-equal to ``enumerate_integrated`` on the same ring.
     """
-    limit = DEFAULT_VERTEX_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"necklace size {n} exceeds the enumeration cap {limit}")
+    _check_cap(n, cap)
     if n < 2:
         raise ValueError("rings start at two vertices")
 

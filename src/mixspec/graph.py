@@ -4,13 +4,15 @@ A coloring assigns one of two colors to every vertex.  An edge is balanced
 when its endpoints differ; the mixing number of a vertex counts its balanced
 incident edges, and a vertex is integrated when at least half of its incident
 edges are balanced.  These are the primitives everything else builds on.
+The fast paths test integration on bitmasks with one kernel,
+``failing_vertices``; the set-based ``is_integrated`` is its reference.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 BLACK = 0
 WHITE = 1
@@ -138,6 +140,27 @@ def is_integrated(g: Graph, c: Coloring) -> tuple[bool, list[int]]:
         raise ValueError("coloring length does not match vertex count")
     failing = [v for v in range(g.vertex_count) if 2 * mix_of_vertex(g, c, v) < g.degree(v)]
     return (not failing, failing)
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """Adjacency as bitmasks: bit w of ``masks[v]`` is set when v ~ w."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+
+
+def failing_vertices(g: Graph) -> Callable[[int], int]:
+    """The integration test for ``g``: maps the bitmask of white vertices to the
+    bitmask of vertices with more same-colored than opposite neighbors."""
+    rows = [(mask, mask.bit_count() // 2, 1 << v) for v, mask in enumerate(adjacency_masks(g)) if mask]
+
+    def failing(white: int) -> int:
+        black = ~white
+        bad = 0
+        for mask, half, bit in rows:
+            if (mask & (white if white & bit else black)).bit_count() > half:
+                bad |= bit
+        return bad
+
+    return failing
 
 
 # ---------------------------------------------------------------------------

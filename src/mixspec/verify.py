@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import families, genfunc
-from .corpus import family_corpus, random_corpus
+from .corpus import standard_corpus
 from .enumeration import (
     MixHistogram,
     _gray_cuts,
@@ -32,6 +32,7 @@ from .graph import (
     biclique_graph,
     complete_graph,
     cycle_graph,
+    failing_vertices,
     is_integrated,
     mix_of_coloring,
     neighborhood_stats,
@@ -193,7 +194,7 @@ def check_clt_increments() -> CheckResult:
 
 
 def _corpus(random_count: int):
-    return family_corpus(10) + random_corpus(random_count, 10)
+    return standard_corpus(10, random_count)
 
 
 @lru_cache(maxsize=1)
@@ -291,13 +292,8 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
 
 
 def _max_cut_colorings_integrated(g: Graph, cut: int) -> bool:
-    n = g.vertex_count
-    for white, size in _gray_cuts(g):
-        if size == cut:
-            coloring = tuple((white >> v) & 1 for v in range(n))
-            if not is_integrated(g, coloring)[0]:
-                return False
-    return True
+    failing = failing_vertices(g)
+    return not any(size == cut and failing(white) for white, size in _gray_cuts(g))
 
 
 def check_propp(random_count: int, starts_per_graph: int = 3, seed: int = 7) -> CheckResult:

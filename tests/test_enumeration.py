@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from mixspec import enumeration
+from mixspec import enumeration, graph
+from mixspec.corpus import standard_corpus
 from mixspec.enumeration import (
     CapExceededError,
-    _masks,
     _search,
     enumerate_integrated,
     max_cut,
@@ -20,6 +20,7 @@ from mixspec.enumeration import (
 from mixspec.graph import (
     BLACK,
     WHITE,
+    adjacency_masks,
     biclique_graph,
     build_graph,
     coloring_from_string,
@@ -52,7 +53,7 @@ def _search_reference(g):
     if n == 0:
         yield (), 0
         return
-    adj = _masks(g)
+    adj = adjacency_masks(g)
     deg = [len(nbrs) for nbrs in g.adjacency]
     earlier = [[w for w in nbrs if w < v] for v, nbrs in enumerate(g.adjacency)]
     later = [[w for w in nbrs if w > v] for v, nbrs in enumerate(g.adjacency)]
@@ -149,16 +150,21 @@ def test_search_matches_reference(case_id):
 
 @pytest.mark.parametrize("case_id", sorted(SEARCH_CASES))
 def test_search_reaches_only_integrated_leaves(case_id, monkeypatch):
-    # The prunes are exact, so the leaf guard, one zip per leaf, never
-    # rejects a leaf.  A missing prune keeps the yields right (the guard
-    # catches it) but shows here as more leaves than yields.
+    # The prunes are exact, so the leaf guard, one integration test per
+    # leaf, never rejects a leaf.  A missing prune keeps the yields right
+    # (the guard catches it) but shows here as more leaves than yields.
     leaves = []
 
-    def counting_zip(*args):
-        leaves.append(1)
-        return zip(*args)
+    def counting_failing_vertices(g):
+        failing = graph.failing_vertices(g)
 
-    monkeypatch.setattr(enumeration, "zip", counting_zip, raising=False)
+        def counted(white):
+            leaves.append(1)
+            return failing(white)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "failing_vertices", counting_failing_vertices)
     found = sum(1 for _ in _search(SEARCH_CASES[case_id]))
     assert len(leaves) == found
 
@@ -310,11 +316,7 @@ def propp_trace(g, start):
             return tuple(colors), history
 
 
-@given(graphs(max_vertices=7))
-@settings(max_examples=40, deadline=None)
-def test_propp_strictly_increases_mix(g):
-    rng = random.Random(11)
-    start = tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count))
+def _check_propp_against_trace(g, start):
     final, flips = propp_local_search(g, start)
     ref_final, history = propp_trace(g, start)
     assert final == ref_final
@@ -322,3 +324,17 @@ def test_propp_strictly_increases_mix(g):
     assert flips <= g.edge_count
     assert all(b > a for a, b in zip(history, history[1:]))
     assert is_integrated(g, final)[0]
+
+
+@given(graphs(max_vertices=7))
+@settings(max_examples=40, deadline=None)
+def test_propp_strictly_increases_mix(g):
+    rng = random.Random(11)
+    _check_propp_against_trace(g, tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count)))
+
+
+def test_propp_matches_trace_on_corpus():
+    rng = random.Random(12)
+    for _, g in standard_corpus(10, 100):
+        for _ in range(3):
+            _check_propp_against_trace(g, tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count)))

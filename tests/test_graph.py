@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -15,6 +17,7 @@ from mixspec.graph import (
     connected_components,
     cycle_graph,
     detect_srg,
+    failing_vertices,
     format_edge_list,
     induced_subgraph,
     is_connected,
@@ -97,6 +100,37 @@ def test_is_integrated_path3():
 def test_isolated_vertices_are_integrated():
     g = build_graph([], 3)
     assert is_integrated(g, (BLACK, WHITE, BLACK)) == (True, [])
+
+
+def _kernel_failures(g, c):
+    """The vertices ``failing_vertices`` reports for ``c``, as a sorted list."""
+    bad = failing_vertices(g)(sum(1 << v for v, color in enumerate(c) if color == WHITE))
+    return [v for v in range(g.vertex_count) if bad >> v & 1]
+
+
+@given(graph_with_coloring(max_vertices=12))
+def test_failing_vertices_matches_is_integrated(gc):
+    g, c = gc
+    assert _kernel_failures(g, c) == is_integrated(g, c)[1]
+
+
+def _dense_16():
+    rng = random.Random(16)
+    return build_graph([(u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.8], 16)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph([], 0),
+    build_graph([], 4),
+    build_graph([(1, 2), (2, 3), (3, 1), (3, 5)], 7),  # triangle with a pendant, isolated 0, 4, 6
+    complete_graph(16),
+    _dense_16(),
+], ids=["empty", "edgeless-4", "isolated-mixed", "complete-16", "dense-16"])
+def test_failing_vertices_edge_cases(g):
+    rng = random.Random(3)
+    for _ in range(200):
+        c = tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count))
+        assert _kernel_failures(g, c) == is_integrated(g, c)[1]
 
 
 def test_neighborhood_stats_square():
