@@ -21,9 +21,10 @@ E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
 probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
 pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
 
-The oracle walks the 2^{|V'|} semi-random draws once, tests each with
-``graph.failing_vertices`` (reference: ``is_integrated``), and counts them by
-the subset of V'' they integrate; both oracles are sums over that one count.
+The oracle's ``census`` walks the 2^{|V'|} semi-random draws once, tests each
+with ``graph.failing_vertices`` (reference: ``is_integrated``), and counts them
+by the subset of V'' they integrate; both oracles are sums over that one count.
+``verify`` takes one census per graph and hands it to both.
 
 All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
 beyond the double range.
@@ -337,7 +338,7 @@ class OracleMoments:
     ex2: Fraction
 
 
-def _success_masks(g: Graph, cap: int) -> tuple[Counter[int], int]:
+def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
     """Census of all 2^{|V'|} semi-random draws: ``counts[m]`` is the number of
     draws whose integrated V'' vertices form the bitmask m.  Also returns the
     V'' bitmask, so a draw integrates the whole graph exactly when m equals it.
@@ -371,14 +372,20 @@ def _success_masks(g: Graph, cap: int) -> tuple[Counter[int], int]:
             return counts, vpp
 
 
-def semirandom_oracle(g: Graph, cap: int = ORACLE_CAP) -> OracleMoments:
+_census = census  # the oracles' ``census`` parameter shadows the function
+
+
+def semirandom_oracle(
+    g: Graph, cap: int = ORACLE_CAP, census: tuple[Counter[int], int] | None = None
+) -> OracleMoments:
     """Exhaust all 2^{|V'|} semi-random colorings and return exact moments.
 
     ``prob_integrated * 2^{|V'|}`` equals the number of integrated colorings
     exactly, because restriction to V' is a bijection between integrated
-    colorings and integrated semi-random outcomes.
+    colorings and integrated semi-random outcomes.  ``census``, if given, is
+    ``census(g, cap)`` already taken, and is read instead of a new scan.
     """
-    counts, vpp = _success_masks(g, cap)
+    counts, vpp = census or _census(g, cap)
     total = sum(counts.values())
     x_sum = sum(c * m.bit_count() for m, c in counts.items())
     x2_sum = sum(c * m.bit_count() ** 2 for m, c in counts.items())
@@ -387,18 +394,22 @@ def semirandom_oracle(g: Graph, cap: int = ORACLE_CAP) -> OracleMoments:
     )
 
 
-def pair_joint_moments(g: Graph, cap: int = ORACLE_CAP) -> dict[tuple[int, int], Fraction]:
-    """Exact E[I_v I_w] for every unordered V'' pair, by the same exhaustion.
+def pair_joint_moments(
+    g: Graph, cap: int = ORACLE_CAP, census: tuple[Counter[int], int] | None = None
+) -> dict[tuple[int, int], Fraction]:
+    """Exact E[I_v I_w] for every unordered V'' pair, by the same exhaustion
+    (or from ``census``, as in ``semirandom_oracle``).
 
     Vertex ids refer to the graph as given (which must have no isolated
     vertices for the pair ids to be meaningful alongside ``alpha``).
     """
-    counts, vpp = _success_masks(g, cap)
+    counts, vpp = census or _census(g, cap)
     total = sum(counts.values())
-    pairs = combinations([v for v in range(g.vertex_count) if (vpp >> v) & 1], 2)
+    members = [v for v in range(g.vertex_count) if (vpp >> v) & 1]
+    holding = {v: [(m, c) for m, c in counts.items() if (m >> v) & 1] for v in members}
     return {
-        (v, w): Fraction(sum(c for m, c in counts.items() if (m >> v) & (m >> w) & 1), total)
-        for v, w in pairs
+        (v, w): Fraction(sum(c for m, c in holding[v] if (m >> w) & 1), total)
+        for v, w in combinations(members, 2)
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,6 @@ from . import bounds as bounds_mod
 from . import families, genfunc
 from .corpus import standard_corpus
 from .enumeration import (
-    MixHistogram,
     _gray_cuts,
     enumerate_integrated,
     max_cut,
@@ -28,7 +28,6 @@ from .enumeration import (
 from .graph import (
     BLACK,
     WHITE,
-    Graph,
     biclique_graph,
     complete_graph,
     cycle_graph,
@@ -75,34 +74,28 @@ def check_bicliques(max_total: int) -> CheckResult:
     return _result("bicliques", failures, f"part sizes summing to <= {max_total}")
 
 
-def _histogram_pmf(hist: MixHistogram) -> dict[int, Fraction]:
-    return {k: Fraction(c, hist.ic) for k, c in hist.counts.items()}
-
-
 def check_paths(max_n: int) -> CheckResult:
     failures = []
     for n in range(1, max_n + 1):
         hist = mix_histogram(path_graph(n))
         if hist.ic != families.ic_path(n):
             failures.append(f"P_{n}: count {families.ic_path(n)} vs enumerated {hist.ic}")
-        if n >= 2:
-            pmf = families.path_pmf(n)
-            if pmf.masses != _histogram_pmf(hist):
-                failures.append(f"P_{n}: pmf mismatch")
+        if n >= 2 and families.path_pmf(n).counts != hist.counts:
+            failures.append(f"P_{n}: pmf mismatch")
     return _result("paths", failures, f"orders 1..{max_n}")
 
 
 def check_cycles(max_n: int) -> CheckResult:
     failures = []
     for n in range(3, max_n + 1):
-        hist = mix_histogram(cycle_graph(n))
-        if hist.ic != families.ic_cycle(n):
-            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {hist.ic}")
-        pmf = families.cycle_pmf(n)
-        if pmf.masses != _histogram_pmf(hist):
-            failures.append(f"C_{n}: pmf mismatch")
+        g = cycle_graph(n)
         necklaces = list(families.necklace_enumerate(n))
-        enum_set = set(enumerate_integrated(cycle_graph(n)))
+        enum_set = set(enumerate_integrated(g))
+        if len(enum_set) != families.ic_cycle(n):
+            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {len(enum_set)}")
+        # The pmf's counts from the same enumeration, through the set-based mix.
+        if families.cycle_pmf(n).counts != Counter(mix_of_coloring(g, c) for c in enum_set):
+            failures.append(f"C_{n}: pmf mismatch")
         if len(necklaces) != len(enum_set) or set(necklaces) != enum_set:
             failures.append(f"C_{n}: necklace tiling disagrees with enumeration")
     return _result("cycles", failures, f"orders 3..{max_n}")
@@ -193,31 +186,33 @@ def check_clt_increments() -> CheckResult:
     return _result("clt-increments", failures, "mean and variance rates at n=200")
 
 
-def _corpus(random_count: int):
-    return standard_corpus(10, random_count)
-
-
 @lru_cache(maxsize=1)
-def _bound_corpus(random_count: int) -> tuple[tuple[str, Graph, bounds_mod.BoundReport], ...]:
-    """The corpus with each graph's general bound, computed once for the three
-    bound checks (graphs and reports are immutable, so sharing them is safe)."""
-    return tuple((name, g, bounds_mod.bound_general(g)) for name, g in _corpus(random_count))
+def _bound_corpus(random_count: int) -> tuple[tuple, ...]:
+    """The corpus with each graph's exhaustive passes, made once per run for the
+    corpus checks: entries (name, graph, general bound, ``mix_histogram``,
+    ``bounds.census``), the census None unless the bound is applicable and not
+    exact.  Nothing in an entry is mutated, so sharing them is safe."""
+    corpus = []
+    for name, g in standard_corpus(10, random_count):
+        report = bounds_mod.bound_general(g)
+        census = bounds_mod.census(g) if report.applicable and not report.exact else None
+        corpus.append((name, g, report, mix_histogram(g), census))
+    return tuple(corpus)
 
 
 def check_bound_moments(random_count: int) -> CheckResult:
     failures = []
     applicable = 0
-    for name, g, report in _bound_corpus(random_count):
+    for name, g, report, hist, census in _bound_corpus(random_count):
         if not report.applicable:
             continue
         applicable += 1
-        hist = mix_histogram(g)
         if report.exact:
             expected = (1 << report.v_prime_size)
             if hist.ic != expected:
                 failures.append(f"{name}: exact-flag bound {expected} but ic {hist.ic}")
             continue
-        oracle = bounds_mod.semirandom_oracle(g)
+        oracle = bounds_mod.semirandom_oracle(g, census=census)
         if report.mu != oracle.ex:
             failures.append(f"{name}: mu {report.mu} vs oracle {oracle.ex}")
         if report.sigma_sq != oracle.ex2 - oracle.ex * oracle.ex:
@@ -234,15 +229,13 @@ def check_bound_moments(random_count: int) -> CheckResult:
 def check_alpha_pairs(random_count: int) -> CheckResult:
     failures = []
     checked = 0
-    for name, g, report in _bound_corpus(random_count):
-        if not report.applicable:
-            continue
-        if any(g.degree(v) == 0 for v in range(g.vertex_count)):
+    for name, g, _, _, census in _bound_corpus(random_count):
+        # Pair ids match alpha's only without isolated vertices; V'' is then
+        # non-empty exactly when the census was taken.
+        if census is None or g.min_degree() == 0:
             continue
         stats = neighborhood_stats(g)
-        if not stats.v_double_prime:
-            continue
-        joint = bounds_mod.pair_joint_moments(g)
+        joint = bounds_mod.pair_joint_moments(g, census=census)
         for (v, w), expected in joint.items():
             j = int(g.has_edge(v, w))
             a0 = bounds_mod.alpha(g, stats, v, w, 0, j)
@@ -258,7 +251,7 @@ def check_alpha_pairs(random_count: int) -> CheckResult:
 def check_specialized_bounds(random_count: int) -> CheckResult:
     failures = []
     compared = 0
-    for name, g, general in _bound_corpus(random_count):
+    for name, g, general, *_ in _bound_corpus(random_count):
         if not general.applicable:
             continue
         if g.vertex_count and g.min_degree() >= 2:
@@ -274,8 +267,7 @@ def check_specialized_bounds(random_count: int) -> CheckResult:
 
 def check_extremal_inequalities(random_count: int) -> CheckResult:
     failures = []
-    for name, g in _corpus(random_count):
-        hist = mix_histogram(g)
+    for name, g, _, hist, _ in _bound_corpus(random_count):
         ext = bounds_mod.extremal_bounds(g)
         if g.edge_count and 2 * hist.ims_min < g.edge_count:
             failures.append(f"{name}: spectrum minimum below |E|/2")
@@ -286,21 +278,17 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
             failures.append(f"{name}: spectrum maximum below the square-root cut bound")
         if ext.edwards_erdos is not None and Fraction(hist.ims_max) < ext.edwards_erdos:
             failures.append(f"{name}: spectrum maximum below the connected cut bound")
-        if not _max_cut_colorings_integrated(g, cut):
+        failing = failing_vertices(g)
+        if any(size == cut and failing(white) for white, size in _gray_cuts(g)):
             failures.append(f"{name}: a maximum-cut coloring is not integrated")
     return _result("extremal-inequalities", failures, "spectrum bounds on the corpus")
-
-
-def _max_cut_colorings_integrated(g: Graph, cut: int) -> bool:
-    failing = failing_vertices(g)
-    return not any(size == cut and failing(white) for white, size in _gray_cuts(g))
 
 
 def check_propp(random_count: int, starts_per_graph: int = 3, seed: int = 7) -> CheckResult:
     rng = random.Random(seed)
     failures = []
     runs = 0
-    for name, g in _corpus(random_count):
+    for name, g, *_ in _bound_corpus(random_count):
         for _ in range(starts_per_graph):
             start = tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count))
             final, flips = propp_local_search(g, start)

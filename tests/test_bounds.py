@@ -15,6 +15,7 @@ from mixspec.bounds import (
     alpha,
     bound_general,
     bound_specialized,
+    census,
     extremal_bounds,
     pair_joint_moments,
     semirandom_oracle,
@@ -353,6 +354,12 @@ def _assert_oracles_match_scan(g, cap=bounds.ORACLE_CAP):
     assert got == want
     if isinstance(want, dict):
         assert list(got) == list(want)
+        # One census handed to both oracles gives what each finds by its own scan,
+        # and neither oracle changes it.
+        shared = census(g, cap)
+        assert semirandom_oracle(g, census=shared) == semirandom_oracle(g, cap)
+        assert list(pair_joint_moments(g, census=shared).items()) == list(got.items())
+        assert shared == census(g, cap)
 
 
 # The verify corpus, paths whose ends fall out of V'', and the pendant graphs.

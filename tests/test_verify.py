@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
+from mixspec import bounds, families, verify
 from mixspec.corpus import family_corpus, random_corpus, standard_corpus
 from mixspec.graph import is_connected
 from mixspec.verify import run_checks
@@ -30,3 +35,66 @@ def test_standard_corpus_composition():
     assert sum(1 for n in names if n.startswith("random-")) == 7
     assert len(names) == len(set(names))
     assert len(family_corpus(10)) + 7 == len(corpus)
+
+
+@pytest.fixture
+def fresh_corpus():
+    """Drop the cached verify corpus before and after, so that a test sees its own
+    patches and leaves none behind."""
+    verify._bound_corpus.cache_clear()
+    yield
+    verify._bound_corpus.cache_clear()
+
+
+def _failed() -> set[str]:
+    results, _ = run_checks(max_n=6, random_count=20)
+    return {r.name for r in results if not r.passed}
+
+
+def test_census_runs_once_per_applicable_inexact_graph(monkeypatch, fresh_corpus):
+    scanned = []
+    real = bounds.census
+
+    def counting(g, *args, **kwargs):
+        scanned.append(g)
+        return real(g, *args, **kwargs)
+
+    # Both names, so that a scan an oracle starts on its own is counted too.
+    monkeypatch.setattr(bounds, "census", counting)
+    monkeypatch.setattr(bounds, "_census", counting)
+    assert _failed() == set()
+    reports = [(g, bounds.bound_general(g)) for _, g in standard_corpus(10, 20)]
+    assert scanned == [g for g, r in reports if r.applicable and not r.exact]
+
+
+# Each input the checks share, made wrong in one place, must fail the checks
+# that read it and no other.
+
+
+def test_census_short_of_one_draw_fails_the_oracle_checks(monkeypatch, fresh_corpus):
+    real = bounds.census
+
+    def short(g, *args, **kwargs):
+        counts, vpp = real(g, *args, **kwargs)
+        counts[next(iter(counts))] -= 1
+        return counts, vpp
+
+    monkeypatch.setattr(bounds, "census", short)
+    assert _failed() == {"bound-moments-and-soundness", "alpha-pair-moments"}
+
+
+def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch, fresh_corpus):
+    real = families.cycle_pmf
+
+    def shifted(n):
+        pmf = real(n)
+        return replace(pmf, counts={mix + 1: c for mix, c in pmf.counts.items()})
+
+    monkeypatch.setattr(families, "cycle_pmf", shifted)
+    assert _failed() == {"cycles"}
+
+
+def test_max_cut_off_by_one_fails_the_extremal_check(monkeypatch, fresh_corpus):
+    real = verify.max_cut
+    monkeypatch.setattr(verify, "max_cut", lambda g: real(g) + 1)
+    assert _failed() == {"extremal-inequalities"}
