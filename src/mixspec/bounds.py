@@ -26,8 +26,7 @@ with ``graph.failing_vertices`` (reference: ``is_integrated``), and counts them
 by the subset of V'' they integrate; both oracles are sums over that one count.
 ``verify`` takes one census per graph and hands it to both.
 
-All arithmetic is exact rational; the JSON ``upper_bound_decimal`` is null
-beyond the double range.
+All arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -172,35 +171,6 @@ class BoundReport:
     sigma_sq: Fraction = Fraction(0)
     upper_bound: Fraction = Fraction(0)
     exact: bool = False
-    exact_ic: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "v_prime_size": self.v_prime_size,
-            "v_double_prime_size": self.v_double_prime_size,
-            "isolated_count": self.isolated_count,
-            "mu": _rational(self.mu),
-            "sigma_sq": _rational(self.sigma_sq),
-            "upper_bound": _rational(self.upper_bound),
-            "upper_bound_decimal": _float_or_none(self.upper_bound),
-            "exact": self.exact,
-            "exact_ic": str(self.exact_ic) if self.exact_ic is not None else None,
-        }
-
-
-def _rational(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _float_or_none(x: Fraction) -> float | None:
-    """The nearest double, or None when x lies beyond the double range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return None
 
 
 def _finish(

@@ -6,6 +6,11 @@ Graphs come either from ``--input <edge-list>`` ('-' for stdin) or from
 with ``--m``, petersen).  Output is deterministic: identical invocations
 produce byte-identical reports.
 
+This module alone encodes results: the library returns dataclasses of
+exact ``Fraction``s and integers, and only the encoders here write them as
+JSON (each rational as ``{"num", "den"}`` strings) or CSV.  A bound's
+``upper_bound_decimal`` is its nearest double, or null beyond the double range.
+
 Exit codes: 0 success (also when the reader of stdout closes the pipe
 early), 1 failed verification checks, 2 malformed input or flags, 3 command
 inapplicable to the given graph (caps, bound hypotheses) or out of memory.
@@ -17,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -120,8 +124,58 @@ def _family_graph(args) -> Graph:
     raise UsageError(f"unknown family {family!r}")
 
 
+def _path_or_cycle(args, verb: str | None = None) -> str | None:
+    """The family, "path" or "cycle", whose formulas answer the request, or
+    None when it names a graph for ``_load_graph``.  A ``verb`` given here
+    serves only those two families and rejects any other source."""
+    if getattr(args, "input", None) is None and args.family in ("path", "cycle"):
+        if args.n is None:
+            raise UsageError("--family requires --n")
+        return args.family
+    if verb is not None:
+        raise UsageError(f"{verb} supports --family path or cycle")
+    return None
+
+
 def _rational(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _bound_json(report: bounds_mod.BoundReport, exact_ic: int | None) -> dict:
+    try:
+        decimal = float(report.upper_bound)
+    except OverflowError:
+        decimal = None
+    return {
+        "variant": report.variant,
+        "applicable": report.applicable,
+        "reason": report.reason,
+        "v_prime_size": report.v_prime_size,
+        "v_double_prime_size": report.v_double_prime_size,
+        "isolated_count": report.isolated_count,
+        "mu": _rational(report.mu),
+        "sigma_sq": _rational(report.sigma_sq),
+        "upper_bound": _rational(report.upper_bound),
+        "upper_bound_decimal": decimal,
+        "exact": report.exact,
+        "exact_ic": None if exact_ic is None else str(exact_ic),
+    }
+
+
+def _clt_json(report: genfunc.CltReport) -> dict:
+    return {
+        "family": report.family,
+        "n": report.n,
+        "mean": _rational(report.mean),
+        "variance": _rational(report.variance),
+        "delta_mean": report.delta_mean,
+        "delta_var": report.delta_variance,
+        "mean_rate_gap": report.mean_rate_gap,
+        "variance_rate_gap": report.variance_rate_gap,
+        "variance_rate_gap_quoted": report.variance_rate_gap_quoted,
+        "mean_offset": report.mean_offset,
+        "cdf_sup_distance": report.cdf_sup_distance,
+    }
 
 
 def _emit(text: str) -> None:
@@ -186,24 +240,11 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _require_n(args) -> None:
-    if args.n is None:
-        raise UsageError("--family requires --n")
-
-
-def _family_pmf(args) -> families.FamilyPmf:
-    if args.family == "path":
-        return families.path_pmf(args.n)
-    if args.family == "cycle":
-        return families.cycle_pmf(args.n)
-    raise UsageError("pmf supports --family path or cycle (or --input)")
-
-
 def _cmd_pmf(args) -> int:
-    if args.input is None and args.family in ("path", "cycle"):
-        _require_n(args)
-        pmf = _family_pmf(args)
-        label, order, total, numerators = pmf.family, pmf.n, pmf.ic, pmf.counts
+    family = _path_or_cycle(args)
+    if family:
+        pmf = getattr(families, f"{family}_pmf")(args.n)
+        label, order, total, numerators = family, pmf.n, pmf.ic, pmf.counts
     else:
         g = _load_graph(args)
         hist = exact_histogram(g, cap=_effective_cap(args))
@@ -228,29 +269,21 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.family not in ("path", "cycle"):
-        raise UsageError("sample supports --family path or cycle")
-    _require_n(args)
-    sampler = families.sample_path if args.family == "path" else families.sample_cycle
-    _emit_colorings(sampler(args.n, args.seed, args.count))
+    family = _path_or_cycle(args, "sample")
+    _emit_colorings(getattr(families, f"sample_{family}")(args.n, args.seed, args.count))
     return EXIT_OK
 
 
 def _cmd_gf(args) -> int:
-    if args.family not in ("path", "cycle"):
-        raise UsageError("gf supports --family path or cycle")
-    _require_n(args)
-    if args.family == "path":
-        poly = genfunc.path_gf_coeff(args.n)
-    else:
-        poly = genfunc.cycle_gf_coeff(args.n)
+    family = _path_or_cycle(args, "gf")
+    poly = getattr(genfunc, f"{family}_gf_coeff")(args.n)
     if args.format == "csv":
         lines = ["power,coeff"] + [f"{k},{c}" for k, c in enumerate(poly.coeffs) if c]
         _emit("\n".join(lines))
     else:
         _emit_json(
             {
-                "family": args.family,
+                "family": family,
                 "n": args.n,
                 "coeffs": [str(c) for c in poly.coeffs],
                 "count": str(poly.at_one()),
@@ -260,24 +293,19 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    if args.input is not None or args.family not in ("path", "cycle", None):
+    family = _path_or_cycle(args)
+    if family and args.n >= 8:
+        _emit_json(_clt_json(genfunc.clt_diagnostics(family, args.n)))
+        return EXIT_OK
+    if family:
+        poly = getattr(genfunc, f"{family}_gf_coeff")(args.n)
+        label, order = family, args.n
+    else:
         g = _load_graph(args)
         counts = exact_histogram(g, cap=_effective_cap(args)).counts
         poly = genfunc.UPoly.of([counts.get(k, 0) for k in range(max(counts) + 1)])
         label = "input" if args.input is not None else args.family
         order = g.vertex_count
-    elif args.family is None or args.n is None:
-        raise UsageError("moments needs --input or --family path|cycle with --n")
-    elif args.n >= 8:
-        _emit_json(genfunc.clt_diagnostics(args.family, args.n).to_json_dict())
-        return EXIT_OK
-    else:
-        poly = (
-            genfunc.path_gf_coeff(args.n)
-            if args.family == "path"
-            else genfunc.cycle_gf_coeff(args.n)
-        )
-        label, order = args.family, args.n
     mean, variance = genfunc.pgf_moments(poly)
     _emit_json(
         {
@@ -293,28 +321,20 @@ def _cmd_moments(args) -> int:
 def _cmd_bound(args) -> int:
     g = _load_graph(args)
     variant = args.variant.replace("-", "_")
-    exact_ic = None
-    if args.exact:
-        exact_ic = exact_histogram(g, cap=_effective_cap(args)).ic
+    exact_ic = exact_histogram(g, cap=_effective_cap(args)).ic if args.exact else None
     if variant == "auto":
-        general = replace(bounds_mod.bound_general(g), exact_ic=exact_ic)
-        chosen = None
-        for candidate in ("srg", "regular", "min_degree"):
-            report = bounds_mod.bound_specialized(g, candidate)
-            if report.applicable:
-                chosen = replace(report, exact_ic=exact_ic)
-                break
-        payload = {
-            "general": general.to_json_dict(),
-            "specialized": chosen.to_json_dict() if chosen else None,
-        }
-        _emit_json(payload)
+        general = bounds_mod.bound_general(g)
+        # The strongest specialized bound whose hypotheses hold, tried lazily.
+        candidates = (bounds_mod.bound_specialized(g, v) for v in ("srg", "regular", "min_degree"))
+        chosen = next((report for report in candidates if report.applicable), None)
+        specialized = _bound_json(chosen, exact_ic) if chosen else None
+        _emit_json({"general": _bound_json(general, exact_ic), "specialized": specialized})
         return EXIT_OK if general.applicable else EXIT_INAPPLICABLE
     if variant == "general":
         report = bounds_mod.bound_general(g)
     else:
         report = bounds_mod.bound_specialized(g, variant)
-    _emit_json(replace(report, exact_ic=exact_ic).to_json_dict())
+    _emit_json(_bound_json(report, exact_ic))
     return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
 
 

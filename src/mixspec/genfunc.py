@@ -42,12 +42,6 @@ class UPoly:
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __call__(self, x):
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
     def at_one(self) -> int:
         return sum(self.coeffs)
 
@@ -290,34 +284,6 @@ class CltReport:
     mean_offset: float
     cdf_sup_distance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "mean": {"num": str(self.mean.numerator), "den": str(self.mean.denominator)},
-            "variance": {
-                "num": str(self.variance.numerator),
-                "den": str(self.variance.denominator),
-            },
-            "delta_mean": self.delta_mean,
-            "delta_var": self.delta_variance,
-            "mean_rate_gap": self.mean_rate_gap,
-            "variance_rate_gap": self.variance_rate_gap,
-            "variance_rate_gap_quoted": self.variance_rate_gap_quoted,
-            "mean_offset": self.mean_offset,
-            "cdf_sup_distance": self.cdf_sup_distance,
-        }
-
-
-def _family_poly_pair(family: str, n: int) -> tuple[UPoly, UPoly]:
-    if family == "path":
-        table = path_gf_coeffs(n)
-        return table[n - 1], table[n - 2]
-    if family == "cycle":
-        table = cycle_gf_coeffs(n)
-        return table[n - 2], table[n - 3]
-    raise ValueError(f"unknown family {family!r}")
-
 
 def standardized_cdf_distance(p: UPoly) -> float:
     """Kolmogorov distance between the standardized exact law and the normal.
@@ -345,11 +311,15 @@ def standardized_cdf_distance(p: UPoly) -> float:
 def clt_diagnostics(family: str, n: int) -> CltReport:
     """Exact moment increments and normal-law distance for one instance.
 
-    Needs n >= 8 so that both n and n - 1 lie well inside the family ranges.
+    Needs n >= 8 so that both n and n - 1 lie well inside the family ranges;
+    both tables end in the rows for n - 1 and n.
     """
     if n < 8:
         raise ValueError("diagnostics need n >= 8")
-    poly, prev = _family_poly_pair(family, n)
+    if family not in ("path", "cycle"):
+        raise ValueError(f"unknown family {family!r}")
+    rows = path_gf_coeffs(n) if family == "path" else cycle_gf_coeffs(n)
+    poly, prev = rows[-1], rows[-2]
     mean, variance = pgf_moments(poly)
     mean_prev, variance_prev = pgf_moments(prev)
     delta_mean = float(mean - mean_prev)

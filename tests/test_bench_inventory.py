@@ -55,15 +55,24 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-# (count layers, the function whose calls feed them, a small request of the
-# kind ``large_n`` sends).  A change to ``bench/`` that moves a count layer
-# updates these cases together with ``layers.EXPECTED``.
+# (count or time layers, the function whose calls feed them, a small request
+# of the kind ``large_n`` sends).  A change to ``bench/`` that moves a layer
+# updates these cases together with ``layers.EXPECTED``.  The CLI picks the
+# path or cycle function by looking it up on its module when the request
+# runs, so a function bound at import would escape the wrappers and fail here.
 _LARGE_N_COUNTS = [
     (("genfunc.rows", "genfunc.coeff_bits"), "genfunc.cycle_gf_coeffs",
      "moments --family cycle --n 20"),
     (("bounds.alpha_calls",), "bounds.alpha", "bound --family cycle --n 50"),
     (("families.draws",), "families.sample_path", "sample --family path --n 60 --seed 1 --count 3"),
     (("families.draws",), "families.sample_cycle", "sample --family cycle --n 60 --seed 1 --count 3"),
+    (("families.pmf_s",), "families.path_pmf", "pmf --family path --n 30"),
+    (("families.pmf_s",), "families.cycle_pmf", "pmf --family cycle --n 30"),
+    (("genfunc.rows_s",), "genfunc.path_gf_coeff", "gf --family path --n 30"),
+    (("genfunc.rows_s",), "genfunc.cycle_gf_coeff", "gf --family cycle --n 30"),
+    (("genfunc.clt_s",), "genfunc.clt_diagnostics", "moments --family path --n 20"),
+    (("bounds.general_s",), "bounds.bound_general", "bound --family cycle --n 50"),
+    (("bounds.specialized_s",), "bounds.bound_specialized", "bound --family cycle --n 50"),
 ]
 
 

@@ -109,7 +109,13 @@ def test_sample_requires_seed(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["sample", "--family", "path", "--seed", "1", "--count", "2"], ["gf", "--family", "cycle"]]
+    "argv",
+    [
+        ["sample", "--family", "path", "--seed", "1", "--count", "2"],
+        ["gf", "--family", "cycle"],
+        ["moments", "--family", "path"],
+        ["pmf", "--family", "cycle"],
+    ],
 )
 def test_family_without_n_exit2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -137,6 +143,13 @@ def test_moments_diagnostics(capsys):
     assert code == 0
     data = json.loads(out)
     assert "cdf_sup_distance" in data and "delta_mean" in data
+    code, out, _ = run_cli(capsys, "moments", "--family", "path", "--n", "40")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 40
+    assert set(data["mean"]) == {"num", "den"}
+    assert isinstance(data["delta_mean"], float)
+    assert isinstance(data["cdf_sup_distance"], float)
 
 
 def test_moments_from_input(capsys, feed_stdin):

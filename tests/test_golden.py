@@ -134,6 +134,15 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "bound-exact-chorded": ("bound --input - --exact", "chorded", 0, "ca0d402a743bd14aa8323985c5160c4cf79603314b0109fa80274476a541b131"),
     "spectrum-gnp18": ("spectrum --input -", "gnp18", 0, "e29b49f121083be5404620e243aa48e03ab32e14a10acd6b073f2609640ca2ff"),
     "enumerate-gnp18": ("enumerate --input -", "gnp18", 0, "4f2af99ff32b1cf5ba7221e4f8146b9c7d4e163f696e6573c3a8dce9924644c1"),
+    # The ends of each family route: the smallest orders, the last order
+    # answered from one GF row and the first from the CLT diagnostics, and
+    # ``exact_ic`` on both reports of ``bound --variant auto``.
+    "moments-path-1": ("moments --family path --n 1", None, 0, "7c00832e57b8f59478ab79682bdd2af1e7ac4854fff391e79476f4d4bcc38d71"),
+    "moments-cycle-2": ("moments --family cycle --n 2", None, 0, "267ca2c7fe415f5c0898064f51736e9cebb49dd438c33f14e4392b95eb2df45e"),
+    "moments-cycle-7": ("moments --family cycle --n 7", None, 0, "5295661fd7683c097acff33f7b079a386c3115100f1656d147da3ca3e70a8949"),
+    "moments-cycle-8": ("moments --family cycle --n 8", None, 0, "8387e69a246b9a470c3f528ecbb089c4b482aeb63524e91d03d1889f69aa1120"),
+    "gf-path-1": ("gf --family path --n 1", None, 0, "474e88d5fba82a2c692e05ef06baeab989d072342613eff86f280cc0c459c993"),
+    "bound-auto-exact-cycle12": ("bound --family cycle --n 12 --exact", None, 0, "f6865e537355c7efa86be86d1832cbb6eedb0ad4a48b9866a401bb01c6286372"),
     "verify-small": ("verify --max-n 6 --random-count 5", None, 0, "d82cdf4c33b0bfc87ea679cf00ad02905f09933f69b969180a0b76e0e07c0fa2"),
     # 90 oracle graphs and 2025 V'' pairs for the semi-random oracles.
     "verify-oracles": ("verify --max-n 8 --random-count 40", None, 0, "4019111df35c3c669c297608900e8eb0b1c44decbbb55c1c229f015b92818ad9"),
