@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixspec import genfunc
+from mixspec import cli, genfunc
 from mixspec.enumeration import mix_histogram
 from mixspec.families import cycle_mix_count, ic_cycle, ic_path, path_mix_count
 from mixspec.genfunc import (
@@ -241,6 +241,14 @@ def test_standardized_laws_of_both_families_converge_together():
         )
         assert gaps[n] <= dp + dc
     assert gaps[200] < gaps[50]
+
+
+def test_report_json_shape():
+    data = cli._clt_json(clt_diagnostics("path", 40))
+    assert data["n"] == 40
+    assert set(data["mean"]) == {"num", "den"}
+    assert isinstance(data["delta_mean"], float)
+    assert isinstance(data["cdf_sup_distance"], float)
 
 
 @given(st.lists(st.lists(st.integers(min_value=-(2**80), max_value=2**80), max_size=12), min_size=2, max_size=4))
