@@ -48,8 +48,6 @@ from .graph import (
     neighborhood_stats,
 )
 
-VARIANTS = ("general", "min_degree", "regular", "srg")
-
 ORACLE_CAP = 22
 
 

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import families, genfunc, verify
-from .enumeration import DEFAULT_VERTEX_CAP, CapExceededError, enumerate_integrated, exact_histogram
+from .enumeration import (DEFAULT_VERTEX_CAP, CapExceededError, MixHistogram,
+                          enumerate_integrated, exact_histogram)
 from .graph import (
     Graph,
     biclique_graph,
@@ -109,19 +110,25 @@ def _family_graph(args) -> Graph:
     family = args.family
     if family == "petersen":
         return petersen_graph()
-    if args.n is None:
-        raise UsageError(f"--family {family} requires --n")
+    n = _family_n(args)
     if family == "path":
-        return path_graph(args.n)
+        return path_graph(n)
     if family == "cycle":
-        return cycle_graph(args.n)
+        return cycle_graph(n)
     if family == "complete":
-        return complete_graph(args.n)
+        return complete_graph(n)
     if family == "biclique":
         if args.m is None:
             raise UsageError("--family biclique requires --m and --n")
-        return biclique_graph(args.m, args.n)
+        return biclique_graph(args.m, n)
     raise UsageError(f"unknown family {family!r}")
+
+
+def _family_n(args) -> int:
+    """The ``--n`` that every family but petersen needs."""
+    if args.n is None:
+        raise UsageError("--family requires --n")
+    return args.n
 
 
 def _path_or_cycle(args, verb: str | None = None) -> str | None:
@@ -129,12 +136,19 @@ def _path_or_cycle(args, verb: str | None = None) -> str | None:
     None when it names a graph for ``_load_graph``.  A ``verb`` given here
     serves only those two families and rejects any other source."""
     if getattr(args, "input", None) is None and args.family in ("path", "cycle"):
-        if args.n is None:
-            raise UsageError("--family requires --n")
+        _family_n(args)
         return args.family
     if verb is not None:
         raise UsageError(f"{verb} supports --family path or cycle")
     return None
+
+
+def _graph_histogram(args) -> tuple[str, int, MixHistogram]:
+    """The graph source's label ("input" or its family), its order, and its
+    exact histogram from the cheapest engine."""
+    g = _load_graph(args)
+    label = "input" if args.input is not None else args.family
+    return label, g.vertex_count, exact_histogram(g, cap=_effective_cap(args))
 
 
 def _rational(value: Fraction) -> dict:
@@ -224,17 +238,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _load_graph(args)
-    hist = exact_histogram(g, cap=_effective_cap(args))
+    _, _, hist = _graph_histogram(args)
     if args.format == "csv":
-        lines = ["mix,count"] + [f"{k},{c}" for k, c in sorted(hist.counts.items())]
+        lines = ["mix,count"] + [f"{k},{c}" for k, c in hist.counts.items()]
         _emit("\n".join(lines))
     else:
         _emit_json(
             {
                 "ic": hist.ic,
                 "ims": list(hist.ims),
-                "histogram": {str(k): c for k, c in sorted(hist.counts.items())},
+                "histogram": {str(k): c for k, c in hist.counts.items()},
             }
         )
     return EXIT_OK
@@ -243,15 +256,12 @@ def _cmd_spectrum(args) -> int:
 def _cmd_pmf(args) -> int:
     family = _path_or_cycle(args)
     if family:
-        pmf = getattr(families, f"{family}_pmf")(args.n)
-        label, order, total, numerators = family, pmf.n, pmf.ic, pmf.counts
+        label, order, hist = family, args.n, getattr(families, f"{family}_pmf")(args.n)
     else:
-        g = _load_graph(args)
-        hist = exact_histogram(g, cap=_effective_cap(args))
-        label = "input" if args.input is not None else args.family
-        order, total, numerators = g.vertex_count, hist.ic, hist.counts
+        label, order, hist = _graph_histogram(args)
+    total = hist.ic
     if args.format == "csv":
-        lines = ["mix,num,den"] + [f"{k},{num},{total}" for k, num in numerators.items()]
+        lines = ["mix,num,den"] + [f"{k},{num},{total}" for k, num in hist.counts.items()]
         _emit("\n".join(lines))
     else:
         _emit_json(
@@ -261,7 +271,7 @@ def _cmd_pmf(args) -> int:
                 "ic": str(total),
                 "pmf": [
                     {"mix": k} | _rational(Fraction(num, total))
-                    for k, num in numerators.items()
+                    for k, num in hist.counts.items()
                 ],
             }
         )
@@ -301,11 +311,8 @@ def _cmd_moments(args) -> int:
         poly = getattr(genfunc, f"{family}_gf_coeff")(args.n)
         label, order = family, args.n
     else:
-        g = _load_graph(args)
-        counts = exact_histogram(g, cap=_effective_cap(args)).counts
-        poly = genfunc.UPoly.of([counts.get(k, 0) for k in range(max(counts) + 1)])
-        label = "input" if args.input is not None else args.family
-        order = g.vertex_count
+        label, order, hist = _graph_histogram(args)
+        poly = genfunc.UPoly.of_counts(hist.counts)
     mean, variance = genfunc.pgf_moments(poly)
     _emit_json(
         {

@@ -24,7 +24,8 @@ decomposition), then the search.  The DP takes id order or the greedy
 order, whichever bounds its states lower, and runs only when that bound is
 within ``FRONTIER_STATE_BUDGET``.  The CLI's histograms go through it;
 ``verify`` and the tests keep calling ``mix_histogram``, so the search stays
-the oracle for both fast engines.
+the oracle for both fast engines.  Both return ``MixHistogram``, the one
+exact-law type, as do the path and ring closed forms in ``families``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator
 
@@ -142,13 +144,21 @@ def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]
 
 @dataclass(frozen=True)
 class MixHistogram:
-    """Exact distribution of mixing numbers over all integrated colorings."""
+    """Exact distribution of mixing numbers over all integrated colorings.
+
+    ``counts`` maps each realized mix, ascending, to its number of colorings,
+    zero counts left out; ``masses`` divides them by ``ic``."""
 
     counts: dict[int, int]
 
     @property
     def ic(self) -> int:
         return sum(self.counts.values())
+
+    @property
+    def masses(self) -> dict[int, Fraction]:
+        ic = self.ic
+        return {mix: Fraction(c, ic) for mix, c in self.counts.items()}
 
     @property
     def ims(self) -> tuple[int, ...]:

@@ -3,13 +3,16 @@ complete graphs, bicliques, paths, and rings.
 
 All counts are exact integers and all probabilities exact rationals; floats
 never enter these computations.
+
+Each family's per-n count vector has one source, ``_path_weights`` or
+``_cycle_weights``, read by the pmfs, the samplers and ``genfunc``'s rows.
+The pmfs are ``enumeration.MixHistogram``s, like the engines' histograms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -17,7 +20,7 @@ from operator import xor
 from struct import Struct
 from typing import Callable, Iterator
 
-from .enumeration import _check_cap
+from .enumeration import MixHistogram, _check_cap
 from .graph import BLACK, WHITE, Coloring
 
 
@@ -96,38 +99,12 @@ def ic_path(n: int) -> int:
     return 2 if n == 1 else 2 * fibonacci(n - 1)
 
 
-@dataclass(frozen=True)
-class FamilyPmf:
-    """Exact distribution of the mixing number over a family instance.
-
-    ``counts`` maps each realized mixing number, ascending, to its number of
-    integrated colorings; zero counts are omitted, so the key set is the exact
-    spectrum.  ``masses`` divides them by ``ic``.
-    """
-
-    family: str
-    n: int
-    ic: int
-    counts: dict[int, int]
-
-    def __post_init__(self) -> None:
-        assert sum(self.counts.values()) == self.ic
-
-    @property
-    def masses(self) -> dict[int, Fraction]:
-        return {mix: Fraction(c, self.ic) for mix, c in self.counts.items()}
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
-
 def path_mix_count(n: int, k: int) -> int:
     """Number of integrated path colorings with exactly k balanced edges."""
     return 2 * comb0(k - 1, n - k - 1)
 
 
-def path_pmf(n: int) -> FamilyPmf:
+def path_pmf(n: int) -> MixHistogram:
     """Distribution of the mixing number over integrated colorings of P_n.
 
     Pr[mix = k] = 2 C(k-1, n-k-1) / ic(P_n) for k in the realized range;
@@ -135,8 +112,7 @@ def path_pmf(n: int) -> FamilyPmf:
     """
     if n < 2:
         raise ValueError("need at least one edge")
-    weights, total = _path_weights(n)
-    return FamilyPmf("path", n, total, dict(weights))
+    return MixHistogram(dict(_path_weights(n)[0]))
 
 
 def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
@@ -205,19 +181,19 @@ def cycle_mix_count(n: int, mix: int) -> int:
     return 0 if mix % 2 else sum(_cycle_class_counts(n, mix // 2))
 
 
-def cycle_pmf(n: int) -> FamilyPmf:
+def cycle_pmf(n: int) -> MixHistogram:
     """Distribution of the mixing number over integrated colorings of C_n.
 
     Every integrated ring coloring has an even mixing number 2k with
-    Pr[mix = 2k] = cycle_mix_count(n, 2k) / ic(C_n).
+    Pr[mix = 2k] = cycle_mix_count(n, 2k) / ic(C_n), both classes of
+    ``_cycle_weights`` summed.
     """
     if n < 2:
         raise ValueError("rings start at two vertices")
-    weights, total = _cycle_weights(n)
     counts: dict[int, int] = {}
-    for k, _, w in weights:
+    for k, _, w in _cycle_weights(n)[0]:
         counts[2 * k] = counts.get(2 * k, 0) + w
-    return FamilyPmf("cycle", n, total, counts)
+    return MixHistogram(counts)
 
 
 def _cycle_diagonal(n: int, shift: int) -> Iterator[tuple[int, int]]:

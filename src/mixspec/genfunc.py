@@ -9,7 +9,8 @@ where z marks the number of vertices and u the number of balanced edges.
 The tables of coefficients of z^n are extracted through the linear
 recurrences the denominators induce, never through series division, so every
 coefficient is an exact integer.  A single row is read from the family's
-count vector instead, and the tables are its oracle.
+count vector instead, and the tables are its oracle.  ``UPoly`` is a GF row
+or a PGF; ``UPoly.of_counts`` alone densifies a ``{mix: count}`` law.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ class UPoly:
             trimmed.pop()
         return UPoly(tuple(trimmed))
 
+    @staticmethod
+    def of_counts(counts: dict[int, int]) -> "UPoly":
+        """The row of a ``{power: coefficient}`` map, e.g. ``MixHistogram.counts``."""
+        coeffs = [0] * (max(counts) + 1)
+        for k, c in counts.items():
+            coeffs[k] = c
+        return UPoly.of(coeffs)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def at_one(self) -> int:
         return sum(self.coeffs)
@@ -84,7 +90,7 @@ def path_gf_coeff(n: int) -> UPoly:
     the recurrence oracle it must equal."""
     if n < 1:
         raise ValueError("need max_n >= 1")
-    return _dense(families._path_weights(n)[0])
+    return UPoly.of_counts(dict(families._path_weights(n)[0]))
 
 
 def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
@@ -108,20 +114,12 @@ def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
 
 
 def cycle_gf_coeff(n: int) -> UPoly:
-    """[z^n] of the ring generating function: both classes of
-    ``families._cycle_weights`` summed at power 2k, zeros at the odd powers;
-    ``cycle_gf_coeffs`` is the recurrence oracle it must equal."""
+    """[z^n] of the ring generating function: the counts of
+    ``families.cycle_pmf``, zeros at the odd powers; ``cycle_gf_coeffs`` is
+    the recurrence oracle it must equal."""
     if n < 2:
         raise ValueError("need max_n >= 2")
-    return _dense([(2 * k, c) for k, _, c in families._cycle_weights(n)[0]])
-
-
-def _dense(terms: list[tuple[int, int]]) -> UPoly:
-    """The sum of c u^k over the (k, c) pairs."""
-    coeffs = [0] * (max(k for k, _ in terms) + 1)
-    for k, c in terms:
-        coeffs[k] += c
-    return UPoly.of(coeffs)
+    return UPoly.of_counts(families.cycle_pmf(n).counts)
 
 
 def pgf_moments(p: UPoly) -> tuple[Fraction, Fraction]:

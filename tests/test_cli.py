@@ -115,6 +115,10 @@ def test_sample_requires_seed(capsys):
         ["gf", "--family", "cycle"],
         ["moments", "--family", "path"],
         ["pmf", "--family", "cycle"],
+        ["gen", "--family", "path"],
+        ["spectrum", "--family", "complete"],
+        ["bound", "--family", "cycle"],
+        ["enumerate", "--family", "path"],
     ],
 )
 def test_family_without_n_exit2(capsys, argv):

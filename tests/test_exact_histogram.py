@@ -24,7 +24,7 @@ from mixspec.enumeration import (
     exact_histogram,
     mix_histogram,
 )
-from mixspec.families import ic_cycle
+from mixspec.families import cycle_pmf, ic_cycle, path_pmf
 from mixspec.graph import (
     Graph,
     biclique_graph,
@@ -128,6 +128,36 @@ def test_frontier_dp_matches_search_on_corpus():
         expected = mix_histogram(g)
         assert _frontier_counts(g, list(range(g.vertex_count))) == expected.counts, name
         assert exact_histogram(g) == expected, name
+
+
+def _on_corpus(engine):
+    return [engine(g) for _, g in standard_corpus(10, 100)]
+
+
+_PRODUCERS = {
+    "mix_histogram": lambda: _on_corpus(mix_histogram),
+    "exact_histogram": lambda: _on_corpus(exact_histogram),
+    "path_pmf": lambda: [path_pmf(n) for n in range(2, 61)],
+    "cycle_pmf": lambda: [cycle_pmf(n) for n in range(2, 61)],
+}
+
+
+def test_corpus_reaches_every_exact_engine():
+    engines = {"closed form" if _closed_form_counts(g) is not None
+               else "frontier DP" if _frontier_order(g) is not None else "search"
+               for _, g in standard_corpus(10, 100)}
+    assert engines == {"closed form", "frontier DP", "search"}
+
+
+@pytest.mark.parametrize("producer", list(_PRODUCERS))
+def test_histograms_are_ascending_without_zeros(producer):
+    # What MixHistogram promises, from every function that returns one.
+    for hist in _PRODUCERS[producer]():
+        mixes = list(hist.counts)
+        assert all(a < b for a, b in zip(mixes, mixes[1:])), mixes
+        assert min(hist.counts.values()) > 0
+        assert hist.ims == tuple(mixes)
+        assert sum(hist.masses.values()) == 1
 
 
 @pytest.mark.parametrize("n", list(range(2, 41)) + [99, 100, 201, 254, 399, 400])

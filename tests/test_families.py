@@ -6,10 +6,10 @@ from itertools import islice
 
 import pytest
 
+import mixspec
 from mixspec.enumeration import enumerate_integrated, mix_histogram
 from mixspec.families import (
     WIRE_PIECES,
-    FamilyPmf,
     _cycle_class_counts,
     _cycle_weights,
     _path_weights,
@@ -101,7 +101,7 @@ def test_path_pmf_support_envelope():
         pmf = path_pmf(n)
         assert sum(pmf.masses.values()) == 1
         lo, hi = (n - 1 + 1) // 2, n - 1
-        assert all(lo <= k <= hi for k in pmf.support)
+        assert all(lo <= k <= hi for k in pmf.ims)
 
 
 def test_path_pmf_matches_enumeration():
@@ -126,9 +126,12 @@ def test_pmf_counts_are_the_per_k_formulas():
         assert cycle.ic == ic_cycle(n)
 
 
-def test_family_pmf_rejects_counts_that_miss_ic():
-    with pytest.raises(AssertionError):
-        FamilyPmf("path", 4, 5, {2: 2, 3: 2})
+def test_public_names_resolve():
+    # Every exported name exists; the pmfs are MixHistograms, so the package
+    # exports no FamilyPmf.
+    assert all(hasattr(mixspec, name) for name in mixspec.__all__)
+    assert "FamilyPmf" not in mixspec.__all__
+    assert type(path_pmf(4)) is type(cycle_pmf(4)) is mixspec.MixHistogram
 
 
 def test_ic_cycle_values():
@@ -158,7 +161,7 @@ def test_cycle_pmf_matches_enumeration():
 
 def test_cycle_support_even_in_envelope():
     for n in range(2, 33):
-        for k in cycle_pmf(n).support:
+        for k in cycle_pmf(n).ims:
             assert k % 2 == 0
             assert n <= 2 * k <= 2 * n
 
