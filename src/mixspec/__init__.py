@@ -23,7 +23,6 @@ from .enumeration import (
     propp_local_search,
 )
 from .families import (
-    WirePiece,
     cycle_count_closed_form,
     cycle_pmf,
     ic_biclique,

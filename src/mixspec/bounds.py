@@ -399,24 +399,11 @@ class ExtremalBounds:
 def _ceil_edwards(e: int) -> int:
     """ceil(|E|/2 + sqrt(|E|/8 + 1/64) - 1/8) in exact integer arithmetic.
 
-    The expression equals (4|E| - 1 + sqrt(8|E| + 1)) / 8; the square root is
-    compared against integers by squaring, so no floats are involved.
+    The expression equals (4|E| - 1 + sqrt(8|E| + 1)) / 8.  For an integer
+    a, ceil((a + r) / 8) = ceil((a + ceil(r)) / 8), and the least integer
+    >= sqrt(8|E| + 1) is isqrt(8|E|) + 1, whether or not 8|E| + 1 is a square.
     """
-    if e == 0:
-        return 0
-    radicand = 8 * e + 1
-    a = 4 * e - 1
-    s = isqrt(radicand)
-    if s * s == radicand:
-        return -((-(a + s)) // 8)
-    floor = (a + s) // 8
-    while True:
-        t = 8 * (floor + 1) - a
-        if t <= 0 or t * t < radicand:
-            floor += 1
-        else:
-            break
-    return floor + 1
+    return -(-(4 * e + isqrt(8 * e)) // 8)
 
 
 def extremal_bounds(g: Graph) -> ExtremalBounds:

@@ -117,11 +117,9 @@ def _family_graph(args) -> Graph:
         return cycle_graph(n)
     if family == "complete":
         return complete_graph(n)
-    if family == "biclique":
-        if args.m is None:
-            raise UsageError("--family biclique requires --m and --n")
-        return biclique_graph(args.m, n)
-    raise UsageError(f"unknown family {family!r}")
+    if args.m is None:
+        raise UsageError("--family biclique requires --m and --n")
+    return biclique_graph(args.m, n)
 
 
 def _family_n(args) -> int:
@@ -373,7 +371,9 @@ def _add_source_flags(p: argparse.ArgumentParser, families_only: bool = False) -
     if not families_only:
         p.add_argument("--input", help="edge-list file, or '-' for stdin")
     p.add_argument(
-        "--family", choices=["path", "cycle", "complete", "biclique", "petersen"]
+        "--family",
+        choices=["path", "cycle", "complete", "biclique", "petersen"],
+        required=families_only,
     )
     p.add_argument("--n", type=int, help="family size parameter")
     p.add_argument("--m", type=int, help="first part size for bicliques")

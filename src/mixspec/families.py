@@ -12,7 +12,6 @@ The pmfs are ``enumeration.MixHistogram``s, like the engines' histograms.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -154,13 +153,10 @@ def ic_cycle(n: int) -> int:
     """
     if n < 2:
         raise ValueError("rings start at two vertices")
-    base = {2: 2, 3: 6, 4: 6, 5: 10}
-    if n in base:
-        return base[n]
     a, b, c, d = 2, 6, 6, 10  # ic(C_2) .. ic(C_5)
     for _ in range(n - 5):
         a, b, c, d = b, c, d, c + 2 * b + a
-    return d
+    return (a, b, c, d)[min(n, 5) - 2]
 
 
 def cycle_count_closed_form(n: int) -> int:
@@ -371,23 +367,13 @@ def sample_cycle(n: int, seed: int, count: int) -> Iterator[Coloring]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WirePiece:
-    """A run pattern that contributes exactly two balanced edges."""
-
-    kind: str
-    pattern: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.pattern)
-
-
+# Each piece is its color pattern: a run of one or two blacks, then a run of
+# one or two whites, so it contributes exactly two balanced edges.
 WIRE_PIECES = (
-    WirePiece("BW", (BLACK, WHITE)),
-    WirePiece("BBW", (BLACK, BLACK, WHITE)),
-    WirePiece("BWW", (BLACK, WHITE, WHITE)),
-    WirePiece("BBWW", (BLACK, BLACK, WHITE, WHITE)),
+    (BLACK, WHITE),
+    (BLACK, BLACK, WHITE),
+    (BLACK, WHITE, WHITE),
+    (BLACK, BLACK, WHITE, WHITE),
 )
 
 
@@ -397,31 +383,25 @@ def necklace_enumerate(n: int, cap: int | None = None) -> Iterator[Coloring]:
     Every integrated ring coloring decomposes uniquely into a cyclic chain of
     the four wire pieces.  The enumeration fixes the piece that covers vertex 0
     together with the offset of vertex 0 inside it (which also captures both
-    phases and both global colors), then fills the rest linearly.  The result
-    is set-equal to ``enumerate_integrated`` on the same ring.
+    phases and both global colors), then fills the rest linearly: the chain's
+    color word, rotated left by the offset, is the coloring.  The result is
+    set-equal to ``enumerate_integrated`` on the same ring.
     """
     _check_cap(n, cap)
     if n < 2:
         raise ValueError("rings start at two vertices")
 
-    def linear_tilings(remaining: int) -> Iterator[tuple[WirePiece, ...]]:
+    def linear_tilings(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield ()
             return
         for piece in WIRE_PIECES:
-            if piece.length <= remaining:
-                for rest in linear_tilings(remaining - piece.length):
-                    yield (piece,) + rest
+            if len(piece) <= remaining:
+                for rest in linear_tilings(remaining - len(piece)):
+                    yield piece + rest
 
     for first in WIRE_PIECES:
-        if first.length > n:
-            continue
-        for offset in range(first.length):
-            for rest in linear_tilings(n - first.length):
-                colors = [-1] * n
-                pos = (n - offset) % n
-                for piece in (first,) + rest:
-                    for color in piece.pattern:
-                        colors[pos] = color
-                        pos = (pos + 1) % n
-                yield tuple(colors)
+        for offset in range(len(first)):
+            for rest in linear_tilings(n - len(first)):
+                word = first + rest
+                yield word[offset:] + word[:offset]

@@ -57,7 +57,7 @@ def check_complete_graphs(max_r: int) -> CheckResult:
     for r in range(1, max_r + 1):
         count, fixed_mix = families.ic_complete(r)
         hist = mix_histogram(complete_graph(r))
-        expected = {fixed_mix: count} if r > 1 else {0: 2}
+        expected = {fixed_mix: count}
         if hist.counts != expected:
             failures.append(f"K_{r}: formula {expected} but enumeration {hist.counts}")
     return _result("complete-graphs", failures, f"orders 1..{max_r}")

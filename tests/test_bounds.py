@@ -530,9 +530,16 @@ def test_extremal_disconnected_skips_connected_bound():
 def test_edwards_ceiling_exact():
     # m = ceil((4e - 1 + sqrt(8e + 1)) / 8) iff m - 1 < x <= m; compare the
     # square root against integers by squaring so the check is exact.
+    # Besides the small e, bignum e: random ones, and triangular ones
+    # t(t+1)/2, where 8e + 1 = (2t + 1)^2 is a perfect square.
     from mixspec.bounds import _ceil_edwards
 
-    for e in range(0, 5000):
+    rng = random.Random(20)
+    randoms = [rng.getrandbits(rng.randrange(1, 301)) for _ in range(2000)]
+    ts = list(range(2000)) + [rng.getrandbits(150) for _ in range(500)]
+    triangular = [t * (t + 1) // 2 for t in ts]
+    assert all(math.isqrt(8 * e + 1) ** 2 == 8 * e + 1 for e in triangular)
+    for e in [*range(0, 5000), *randoms, *triangular]:
         m = _ceil_edwards(e)
         radicand = 8 * e + 1
         upper = 8 * m - 4 * e + 1  # x <= m  <=>  sqrt(radicand) <= upper

@@ -126,6 +126,23 @@ def test_family_without_n_exit2(capsys, argv):
     assert (code, out, err) == (2, "", "mixspec: --family requires --n\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "4"],
+        ["gen"],
+        ["sample", "--n", "5", "--seed", "1", "--count", "1"],
+        ["gf", "--n", "5"],
+    ],
+)
+def test_families_only_verbs_require_family(capsys, argv):
+    # gen, sample and gf read only --family, so argparse rejects its absence.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"mixspec {argv[0]}: error:" in err
+    assert "the following arguments are required: --family" in err
+
+
 def test_gf_json(capsys):
     code, out, _ = run_cli(capsys, "gf", "--family", "cycle", "--n", "6")
     assert code == 0

@@ -35,6 +35,7 @@ from mixspec.graph import (
     WHITE,
     biclique_graph,
     coloring_from_string,
+    coloring_to_string,
     complete_graph,
     cycle_graph,
     is_integrated,
@@ -127,10 +128,11 @@ def test_pmf_counts_are_the_per_k_formulas():
 
 
 def test_public_names_resolve():
-    # Every exported name exists; the pmfs are MixHistograms, so the package
-    # exports no FamilyPmf.
+    # Every exported name exists; the pmfs are MixHistograms and the wire
+    # pieces plain tuples, so the package exports no FamilyPmf or WirePiece.
     assert all(hasattr(mixspec, name) for name in mixspec.__all__)
     assert "FamilyPmf" not in mixspec.__all__
+    assert "WirePiece" not in mixspec.__all__
     assert type(path_pmf(4)) is type(cycle_pmf(4)) is mixspec.MixHistogram
 
 
@@ -180,26 +182,28 @@ def test_sum_identities():
 
 
 def test_wire_piece_shapes():
-    kinds = {p.kind: p for p in WIRE_PIECES}
+    assert all(type(p) is tuple for p in WIRE_PIECES)
+    kinds = {coloring_to_string(p, "BW"): p for p in WIRE_PIECES}
+    assert len(kinds) == len(WIRE_PIECES)
     assert set(kinds) == {"BW", "BBW", "BWW", "BBWW"}
-    assert [kinds[k].length for k in ("BW", "BBW", "BWW", "BBWW")] == [2, 3, 3, 4]
+    assert [len(kinds[k]) for k in ("BW", "BBW", "BWW", "BBWW")] == [2, 3, 3, 4]
 
 
 def test_wire_pieces_contribute_two_balanced_edges():
     # Within a chain ...piece | piece..., each piece adds one internal
     # black-to-white step and one closing white-to-black step.
     for piece in WIRE_PIECES:
-        internal = sum(
-            1 for a, b in zip(piece.pattern, piece.pattern[1:]) if a != b
-        )
+        internal = sum(1 for a, b in zip(piece, piece[1:]) if a != b)
         assert internal == 1
-        assert piece.pattern[0] == 0 and piece.pattern[-1] == 1
+        assert piece[0] == BLACK == 0 and piece[-1] == WHITE == 1
 
 
 def test_necklace_counts():
     assert len(list(necklace_enumerate(2))) == 2
     assert len(list(necklace_enumerate(4))) == 6
     assert len(list(necklace_enumerate(5))) == 10
+    # On the 2-ring only the piece BW fits, at offset 0 and 1.
+    assert set(necklace_enumerate(2)) == {(0, 1), (1, 0)}
 
 
 def test_necklace_set_equals_enumeration():
@@ -212,6 +216,8 @@ def test_necklace_set_equals_enumeration():
 def test_necklace_cap():
     with pytest.raises(Exception, match="cap"):
         list(necklace_enumerate(30))
+    necklaces = list(necklace_enumerate(22, cap=22))
+    assert len(necklaces) == len(set(necklaces)) == ic_cycle(22) == 39602
 
 
 # -- samplers -----------------------------------------------------------------
