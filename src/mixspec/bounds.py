@@ -21,10 +21,16 @@ E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
 probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
 pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
 
-The oracle's ``census`` walks the 2^{|V'|} semi-random draws once, tests each
-with ``graph.failing_vertices`` (reference: ``is_integrated``), and counts them
-by the subset of V'' they integrate; both oracles are sums over that one count.
-``verify`` takes one census per graph and hands it to both.
+The oracle's ``census`` counts the 2^{|V'|} semi-random draws by the subset of
+V'' they integrate, testing each with ``graph.failing_vertices`` (reference:
+``is_integrated``); both oracles are sums over that one count.  Swapping both
+colors complements a draw and keeps its failing set, so the census walks only
+the half of the draws where the top vertex of V' is black and counts each
+twice.  ``verify`` takes one census per graph and hands it to both.
+
+An isolated vertex lies in V' (it is not a pendant) and never in V'': it
+doubles 2^{|V'|} and the count alike, and leaves mu and sigma^2 unchanged, so
+every computation runs on the input graph's own vertex ids.
 
 All arithmetic is exact rational.
 """
@@ -43,7 +49,6 @@ from .graph import (
     connected_components,
     detect_srg,
     failing_vertices,
-    induced_subgraph,
     is_connected,
     neighborhood_stats,
 )
@@ -177,13 +182,13 @@ def _finish(
     """The one-sided Chebyshev bound that every variant ends in.
 
     ``pair_total`` is sum_{v != w} E[I_v I_w] over V'', so sigma^2 = E[X^2] - mu^2
-    = mu + pair_total - mu^2; the bound is scaled to 2^{|V'| + #isolated}.
+    = mu + pair_total - mu^2; the bound is scaled to 2^{|V'|}.  ``isolated``
+    only fills the report's ``isolated_count``.
     """
     sigma_sq = mu + pair_total - mu * mu
     gap = vpp - mu
-    size = v_prime + isolated
-    upper = sigma_sq / (sigma_sq + gap * gap) * (1 << size)
-    return BoundReport(variant, True, "", size, vpp, isolated, mu, sigma_sq, upper)
+    upper = sigma_sq / (sigma_sq + gap * gap) * (1 << v_prime)
+    return BoundReport(variant, True, "", v_prime, vpp, isolated, mu, sigma_sq, upper)
 
 
 def _rejection(g: Graph) -> str | None:
@@ -206,17 +211,15 @@ def _rejection(g: Graph) -> str | None:
 def bound_general(g: Graph) -> BoundReport:
     """The second-moment upper bound for any simple graph with max degree >= 2.
 
-    Isolated vertices each double the count exactly; they are stripped, the
-    bound is computed on the rest, and the result is scaled back by
-    2^{#isolated} (``isolated_count`` records the adjustment).
+    Isolated vertices lie in V' but never in V'': each doubles 2^{|V'|} and
+    leaves mu and sigma^2 unchanged, which is also the exact factor 2 it adds
+    to the count.  ``isolated_count`` reports how many there are.
     """
     reason = _rejection(g)
     if reason is not None:
         return BoundReport("general", False, reason)
-    non_isolated = [v for v in range(g.vertex_count) if g.degree(v) > 0]
-    iso = g.vertex_count - len(non_isolated)
-    core, _ = induced_subgraph(g, non_isolated)
-    stats = neighborhood_stats(core)
+    iso = sum(1 for nbrs in g.adjacency if not nbrs)
+    stats = neighborhood_stats(g)
     vp = len(stats.v_prime)
     vpp = len(stats.v_double_prime)
     if vpp == 0:
@@ -224,13 +227,13 @@ def bound_general(g: Graph) -> BoundReport:
             "general",
             True,
             "V'' is empty: every semi-random coloring is integrated",
-            v_prime_size=vp + iso,
+            v_prime_size=vp,
             isolated_count=iso,
-            upper_bound=Fraction(1 << (vp + iso)),
+            upper_bound=Fraction(1 << vp),
             exact=True,
         )
-    mu = _mu_general(core, stats)
-    return _finish("general", mu, _pair_sum(core, stats), vpp, vp, iso)
+    mu = _mu_general(g, stats)
+    return _finish("general", mu, _pair_sum(g, stats), vpp, vp, iso)
 
 
 _HYPOTHESES = {
@@ -277,19 +280,13 @@ def _srg_pair_total(g: Graph, stats: NeighborhoodStats, r: int) -> Fraction:
     """``_pair_sum`` for a strongly regular graph: one alpha pair per adjacency
     class, weighted by the n r / 2 adjacent and n (n - r - 1) / 2 other pairs."""
     n = g.vertex_count
-    adj_pair = _first_pair(g, adjacent=True)
-    non_pair = _first_pair(g, adjacent=False)
+    # detect_srg requires r >= 2 and a non-adjacent pair, so r <= n - 2 and
+    # vertex 0 has both a neighbor and a non-neighbor.
+    adj_pair = 0, min(g.adjacency[0])
+    non_pair = 0, min(set(range(1, n)) - g.adjacency[0])
     alpha_adj = alpha(g, stats, *adj_pair, 0, 1) + alpha(g, stats, *adj_pair, 1, 1)
     alpha_non = alpha(g, stats, *non_pair, 0, 0) + alpha(g, stats, *non_pair, 1, 0)
     return Fraction(n * r, 2) * alpha_adj + Fraction(n * (n - r - 1), 2) * alpha_non
-
-
-def _first_pair(g: Graph, adjacent: bool) -> tuple[int, int]:
-    for v in range(g.vertex_count):
-        for w in range(v + 1, g.vertex_count):
-            if g.has_edge(v, w) == adjacent:
-                return v, w
-    raise InapplicableError(f"graph has no {'adjacent' if adjacent else 'non-adjacent'} pair")
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +307,10 @@ def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
     """Census of all 2^{|V'|} semi-random draws: ``counts[m]`` is the number of
     draws whose integrated V'' vertices form the bitmask m.  Also returns the
     V'' bitmask, so a draw integrates the whole graph exactly when m equals it.
+
+    Swapping both colors maps a draw to the draw on the complement of V' and
+    keeps its failing set, so only the draws where the top vertex of V' is black
+    are walked, each counted twice (``_rejection`` leaves V' non-empty).
     """
     stats = neighborhood_stats(g)
     reason = _rejection(g)
@@ -323,6 +324,7 @@ def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
     vp = sum(1 << v for v in stats.v_prime)
     vpp = sum(1 << v for v in stats.v_double_prime)
     pendant_bits = [(1 << p, 1 << q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
+    walk = vp ^ (1 << (vp.bit_length() - 1))
     counts: Counter[int] = Counter()
     draw = 0
     while True:
@@ -334,8 +336,8 @@ def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
         if bad & ~vpp:
             # Vertices outside V'' are always integrated by construction.
             raise AssertionError("vertex outside V'' failed integration")
-        counts[vpp & ~bad] += 1
-        draw = (draw - vp) & vp  # the next subset of V'; 0 again after the last
+        counts[vpp & ~bad] += 2
+        draw = (draw - walk) & walk  # the next subset of walk; 0 after the last
         if not draw:
             return counts, vpp
 
@@ -367,9 +369,6 @@ def pair_joint_moments(
 ) -> dict[tuple[int, int], Fraction]:
     """Exact E[I_v I_w] for every unordered V'' pair, by the same exhaustion
     (or from ``census``, as in ``semirandom_oracle``).
-
-    Vertex ids refer to the graph as given (which must have no isolated
-    vertices for the pair ids to be meaningful alongside ``alpha``).
     """
     counts, vpp = census or _census(g, cap)
     total = sum(counts.values())

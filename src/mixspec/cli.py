@@ -259,7 +259,8 @@ def _cmd_pmf(args) -> int:
         label, order, hist = _graph_histogram(args)
     total = hist.ic
     if args.format == "csv":
-        lines = ["mix,num,den"] + [f"{k},{num},{total}" for k, num in hist.counts.items()]
+        den = str(total)
+        lines = ["mix,num,den"] + [f"{k},{num},{den}" for k, num in hist.counts.items()]
         _emit("\n".join(lines))
     else:
         _emit_json(

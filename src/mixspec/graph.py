@@ -68,8 +68,6 @@ class Graph:
 
     def is_regular(self) -> int | None:
         """The common degree if the graph is regular, else None."""
-        if self.vertex_count == 0:
-            return None
         degs = {len(n) for n in self.adjacency}
         return degs.pop() if len(degs) == 1 else None
 
@@ -214,24 +212,15 @@ def detect_srg(g: Graph) -> SrgParams | None:
     if r is None:
         return None
     n = g.vertex_count
-    lam_adj: int | None = None
-    lam_non: int | None = None
+    common_by_class: dict[bool, int] = {}  # adjacency -> common neighbors first seen
     for v in range(n):
         for w in range(v + 1, n):
             common = g.mutual_degree(v, w)
-            if g.has_edge(v, w):
-                if lam_adj is None:
-                    lam_adj = common
-                elif lam_adj != common:
-                    return None
-            else:
-                if lam_non is None:
-                    lam_non = common
-                elif lam_non != common:
-                    return None
-    if lam_adj is None or lam_non is None:
+            if common_by_class.setdefault(g.has_edge(v, w), common) != common:
+                return None
+    if len(common_by_class) < 2:
         return None
-    return SrgParams(n, r, lam_adj, lam_non)
+    return SrgParams(n, r, common_by_class[True], common_by_class[False])
 
 
 # ---------------------------------------------------------------------------

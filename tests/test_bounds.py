@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixspec import bounds
 from mixspec.bounds import (
     InapplicableError,
     _pair_sum,
     _rejection,
+    _srg_pair_total,
     alpha,
     bound_general,
     bound_specialized,
@@ -28,6 +31,8 @@ from mixspec.graph import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    detect_srg,
+    failing_vertices,
     neighborhood_stats,
     path_graph,
     petersen_graph,
@@ -207,15 +212,41 @@ def test_bound_rejects_edgeless():
     assert not report.applicable
 
 
-def test_bound_isolated_vertex_adjustment():
-    square_plus_isolated = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 5)
-    report = bound_general(square_plus_isolated)
-    assert report.applicable
-    assert report.isolated_count == 1
-    assert report.upper_bound == 2 * Fraction(48, 5)
-    assert report.v_prime_size == 5
-    # Exact count doubles as well, so soundness is preserved.
-    assert mix_histogram(square_plus_isolated).ic == 12
+def _insert_isolated(g, slots):
+    """``g`` with one isolated vertex inserted before each original id in
+    ``slots``; a slot of ``g.vertex_count`` or more puts it last."""
+    new = [v + sum(s <= v for s in slots) for v in range(g.vertex_count)]
+    return build_graph([(new[u], new[v]) for u, v in g.edges()], g.vertex_count + len(slots))
+
+
+@given(graphs(max_vertices=9), st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3))
+@example(cycle_graph(4), [4])
+@example(cycle_graph(4), [0, 0])
+@example(build_graph([(0, 1), (0, 2), (0, 3)], 4), [0, 4])
+@settings(max_examples=150, deadline=None)
+def test_bound_isolated_vertex_adjustment(g, slots):
+    # Each isolated vertex, at any id, lies in V' and not in V'': it doubles
+    # 2^|V'|, the bound and the exact count, and leaves the moments alone.
+    padded = _insert_isolated(g, slots)
+    k = len(slots)
+    base, report = bound_general(g), bound_general(padded)
+    assert (report.applicable, report.reason, report.exact) == (
+        base.applicable,
+        base.reason,
+        base.exact,
+    )
+    if not base.applicable:
+        return
+    assert (report.mu, report.sigma_sq, report.v_double_prime_size) == (
+        base.mu,
+        base.sigma_sq,
+        base.v_double_prime_size,
+    )
+    assert report.v_prime_size == base.v_prime_size + k
+    assert report.upper_bound == base.upper_bound * 2**k
+    assert report.isolated_count == base.isolated_count + k
+    # The exact count doubles as well, so soundness is preserved.
+    assert mix_histogram(padded).ic == mix_histogram(g).ic * 2**k
 
 
 def test_oracle_square():
@@ -347,7 +378,40 @@ def _outcome(fn, g, cap):
         return type(exc), str(exc)
 
 
+def _census_full_walk(g, cap):
+    """Reference census: every subset of V' walked once, each draw counted once."""
+    stats = neighborhood_stats(g)
+    reason = _rejection(g)
+    if reason is not None:
+        raise InapplicableError(reason)
+    if len(stats.v_prime) > cap:
+        raise InapplicableError(
+            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {cap}"
+        )
+    failing = failing_vertices(g)
+    vp = sum(1 << v for v in stats.v_prime)
+    vpp = sum(1 << v for v in stats.v_double_prime)
+    pendant_bits = [(1 << p, 1 << q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
+    counts = Counter()
+    draw = 0
+    while True:
+        white = draw
+        for p, q in pendant_bits:
+            if not white & q:
+                white |= p
+        bad = failing(white)
+        if bad & ~vpp:
+            raise AssertionError("vertex outside V'' failed integration")
+        counts[vpp & ~bad] += 1
+        draw = (draw - vp) & vp
+        if not draw:
+            return counts, vpp
+
+
 def _assert_oracles_match_scan(g, cap=bounds.ORACLE_CAP):
+    # The census walks half the draws and counts each twice; the full walk
+    # must give the same counts, not only the same ratios.
+    assert _outcome(census, g, cap) == _outcome(_census_full_walk, g, cap)
     assert _outcome(semirandom_oracle, g, cap) == _outcome(_oracle_reference, g, cap)
     got = _outcome(pair_joint_moments, g, cap)
     want = _outcome(_pair_reference, g, cap)
@@ -362,11 +426,17 @@ def _assert_oracles_match_scan(g, cap=bounds.ORACLE_CAP):
         assert shared == census(g, cap)
 
 
-# The verify corpus, paths whose ends fall out of V'', and the pendant graphs.
+# The verify corpus, paths whose ends fall out of V'', the pendant graphs, and
+# graphs with isolated vertices, one of them the top vertex of V'.
 ORACLE_GRAPHS = (
     standard_corpus(10, 100)
     + [(f"path-{n}", path_graph(n)) for n in range(5, 10)]
     + PENDANT_GRAPHS
+    + [
+        ("C_5+isolated-0-5", _insert_isolated(cycle_graph(5), [0, 5])),
+        ("star-tail+isolated-top", _insert_isolated(PENDANT_GRAPHS[1][1], [99])),
+        ("caterpillar-6+isolated-1", _insert_isolated(_caterpillar(6, 1), [1])),
+    ]
 )
 
 
@@ -454,6 +524,38 @@ def test_specialized_rejections():
     assert not bound_specialized(cube_graph(), "srg").applicable
     with pytest.raises(ValueError):
         bound_specialized(cycle_graph(4), "nope")
+
+
+def _paley(q: int):
+    """Paley graph on Z_q with i ~ j when i - j is a quadratic non-residue; for
+    q = 13, vertex 0's first neighbor is 2 and its first non-neighbor 1."""
+    residues = {x * x % q for x in range(1, q)}
+    return build_graph([(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q not in residues], q)
+
+
+def _relabeled(g, order):
+    """``g`` with vertex ``order[i]`` renamed i."""
+    new = {v: i for i, v in enumerate(order)}
+    return build_graph([(new[u], new[v]) for u, v in g.edges()], g.vertex_count)
+
+
+SRG_PAIR_GRAPHS = [
+    ("petersen-relabeled", _relabeled(petersen_graph(), [0, 7, 2, 3, 8, 1, 6, 5, 9, 4])),
+    ("paley-13", _paley(13)),
+    ("K_4,4", biclique_graph(4, 4)),
+    ("C_5-pentagram", build_graph([(i, (i + 2) % 5) for i in range(5)], 5)),
+]
+
+
+@pytest.mark.parametrize("name, g", SRG_PAIR_GRAPHS, ids=[name for name, _ in SRG_PAIR_GRAPHS])
+def test_srg_pair_total_matches_pair_sum(name, g):
+    params = detect_srg(g)
+    assert params is not None
+    first_neighbor = min(g.adjacency[0])
+    first_non_neighbor = min(set(range(1, g.vertex_count)) - g.adjacency[0])
+    assert (first_neighbor, first_non_neighbor) != (1, 2)
+    stats = neighborhood_stats(g)
+    assert _srg_pair_total(g, stats, params.r) == _pair_sum(g, stats)
 
 
 def _corollary_mu(n: int, r: int) -> Fraction:

@@ -64,6 +64,18 @@ def test_pmf_csv_rows(capsys):
     assert out == "mix,num,den\n3,4,6\n4,2,6\n"
 
 
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_pmf_csv_large_n_matches_per_line_formula(capsys, family):
+    # At n = 2000 the shared denominator has about 1400 bits.
+    n = 2000
+    hist = getattr(families, f"{family}_pmf")(n)
+    code, out, _ = run_cli(capsys, "pmf", "--family", family, "--n", str(n), "--format", "csv")
+    assert code == 0
+    lines = ["mix,num,den"] + [f"{k},{num},{hist.ic}" for k, num in hist.counts.items()]
+    assert out == "\n".join(lines) + "\n"
+    assert len(lines) > 100
+
+
 def test_pmf_json_reduced(capsys):
     code, out, _ = run_cli(capsys, "pmf", "--family", "path", "--n", "5")
     assert code == 0

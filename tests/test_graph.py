@@ -165,6 +165,13 @@ def test_detect_srg():
     assert detect_srg(cycle_graph(4)) == SrgParams(4, 2, 0, 2)
     assert detect_srg(path_graph(4)) is None
     assert detect_srg(complete_graph(5)) is None
+    assert detect_srg(build_graph([(i, 4 + j) for i in range(4) for j in range(4)])) == SrgParams(8, 4, 0, 4)
+    # Regular, but the non-adjacent pairs at distance 2 and 3 disagree.
+    assert detect_srg(cycle_graph(6)) is None
+    # Edgeless graphs witness no adjacent pair; the empty graph is not regular.
+    assert detect_srg(build_graph([], 3)) is None
+    assert build_graph([], 0).is_regular() is None
+    assert detect_srg(build_graph([], 0)) is None
 
 
 def test_srg_feasibility_identity():
