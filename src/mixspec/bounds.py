@@ -46,7 +46,6 @@ from math import comb, isqrt
 from .graph import (
     Graph,
     NeighborhoodStats,
-    connected_components,
     detect_srg,
     failing_vertices,
     is_connected,
@@ -198,7 +197,9 @@ def _rejection(g: Graph) -> str | None:
         return "graph has no edges (the count is exactly 2^|V|)"
     if g.max_degree() < 2:
         return "maximum degree below 2: the graph is a union of disjoint edges"
-    k2 = sum(1 for comp in connected_components(g) if len(comp) == 2)
+    # A two-vertex component is an edge whose ends both have degree 1.
+    adj = g.adjacency
+    k2 = sum(len(nbrs) == 1 and len(adj[min(nbrs)]) == 1 for nbrs in adj) // 2
     if k2:
         return (
             f"{k2} two-vertex component(s): both endpoints are pendant, so forcing "

@@ -413,9 +413,9 @@ def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:
         yield white, cut
 
 
-def max_cut(g: Graph, cap: int | None = None) -> int:
+def max_cut(g: Graph) -> int:
     """Exact max-cut size by exhausting all 2^(n-1) splits."""
-    _check_cap(g.vertex_count, cap)
+    _check_cap(g.vertex_count, None)
     if g.edge_count == 0:
         return 0
     return max(cut for _, cut in _gray_cuts(g))

@@ -6,6 +6,8 @@ never enter these computations.
 
 Each family's per-n count vector has one source, ``_path_weights`` or
 ``_cycle_weights``, read by the pmfs, the samplers and ``genfunc``'s rows.
+``_path_weights`` is the one binomial ratio walk: the ring's classes are
+path counts, so ``_cycle_weights`` reads its vector off two path walks.
 The pmfs are ``enumeration.MixHistogram``s, like the engines' histograms.
 """
 
@@ -192,37 +194,18 @@ def cycle_pmf(n: int) -> MixHistogram:
     return MixHistogram(counts)
 
 
-def _cycle_diagonal(n: int, shift: int) -> Iterator[tuple[int, int]]:
-    """The nonzero (k, C(2k-1, n-2k-shift)) pairs, k ascending.
-
-    Seeded with ``comb0`` at the smallest k in the support, where the
-    binomial is C(a, b) with b close to a and so cheap, then stepped k up by
-    one (a up by 2, b down by 2) with the exact ratio
-        C(a+2, b-2) = C(a, b) (a+1)(a+2) b(b-1) / ((a-b+1)(a-b+2)(a-b+3)(a-b+4)).
-    The seed is never 0, so no step divides a zero running value; the walk
-    ends where b would go negative.
-    """
-    k = (n - shift + 4) // 4
-    a, b = 2 * k - 1, n - 2 * k - shift
-    c = comb0(a, b)
-    while b >= 0:
-        yield k, c
-        d = a - b
-        c = c * ((a + 1) * (a + 2) * b * (b - 1)) // ((d + 1) * (d + 2) * (d + 3) * (d + 4))
-        k, a, b = k + 1, a + 2, b - 2
-
-
 def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
     """The nonzero (k, bookended, count) classes of C_n with 2k balanced
     edges, ordered by k with the bookended class first, and their total.
 
-    The bookended counts 2 C(2k-1, n-2k) and the mixed counts
-    4 C(2k-1, n-2k-1) each lie on one diagonal of Pascal's triangle, walked by
-    ``_cycle_diagonal`` in O(n) bignum steps.  ``_cycle_class_counts``
-    evaluates each count on its own and is the oracle the tests compare with.
+    Both classes are path counts at 2k balanced edges: the bookended count
+    2 C(2k-1, n-2k) is P_{n+1}'s, and the mixed count 4 C(2k-1, n-2k-1) is
+    twice P_n's.  So both are read off ``_path_weights``' even entries.
+    ``_cycle_class_counts`` evaluates each count on its own and is the
+    oracle the tests compare with.
     """
-    weights = [(k, True, 2 * c) for k, c in _cycle_diagonal(n, 0)]
-    weights += [(k, False, 4 * c) for k, c in _cycle_diagonal(n, 1)]
+    weights = [(mix // 2, True, c) for mix, c in _path_weights(n + 1)[0] if mix % 2 == 0]
+    weights += [(mix // 2, False, 2 * c) for mix, c in _path_weights(n)[0] if mix % 2 == 0]
     weights.sort(key=lambda w: (w[0], not w[1]))
     total = sum(w for _, _, w in weights)
     assert total == ic_cycle(n)
@@ -377,7 +360,7 @@ WIRE_PIECES = (
 )
 
 
-def necklace_enumerate(n: int, cap: int | None = None) -> Iterator[Coloring]:
+def necklace_enumerate(n: int) -> Iterator[Coloring]:
     """Enumerate integrated ring colorings by tiling the ring with wire pieces.
 
     Every integrated ring coloring decomposes uniquely into a cyclic chain of
@@ -387,7 +370,7 @@ def necklace_enumerate(n: int, cap: int | None = None) -> Iterator[Coloring]:
     color word, rotated left by the offset, is the coloring.  The result is
     set-equal to ``enumerate_integrated`` on the same ring.
     """
-    _check_cap(n, cap)
+    _check_cap(n, None)
     if n < 2:
         raise ValueError("rings start at two vertices")
 

@@ -267,7 +267,7 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
     failures = []
     for name, g, _, hist, _ in _bound_corpus(random_count):
         ext = bounds_mod.extremal_bounds(g)
-        if g.edge_count and 2 * hist.ims_min < g.edge_count:
+        if hist.ims_min < ext.ims_lower:
             failures.append(f"{name}: spectrum minimum below |E|/2")
         cut = max_cut(g)
         if hist.ims_max != cut:

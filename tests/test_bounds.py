@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -290,6 +290,50 @@ def test_oracle_cap_and_rejections():
         with pytest.raises(InapplicableError) as exc:
             semirandom_oracle(g)
         assert str(exc.value) == reason
+
+
+def _k2_by_bfs(g):
+    """Two-vertex components, counted by a breadth-first search."""
+    seen, k2 = set(), 0
+    for root in range(g.vertex_count):
+        if root in seen:
+            continue
+        component, queue = {root}, deque([root])
+        while queue:
+            for w in g.adjacency[queue.popleft()] - component:
+                component.add(w)
+                queue.append(w)
+        seen |= component
+        k2 += len(component) == 2
+    return k2
+
+
+@st.composite
+def _graphs_with_k2_and_isolated(draw):
+    """A random core, plus disjoint edges and isolated vertices, with all ids shuffled."""
+    core = draw(graphs(max_vertices=8))
+    pairs = draw(st.integers(min_value=0, max_value=3))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    n = core.vertex_count + 2 * pairs + isolated
+    ids = draw(st.permutations(range(n)))
+    edges = list(core.edges())
+    edges += [(core.vertex_count + 2 * i, core.vertex_count + 2 * i + 1) for i in range(pairs)]
+    return build_graph([(ids[u], ids[v]) for u, v in edges], n)
+
+
+@given(_graphs_with_k2_and_isolated())
+@example(build_graph([(0, 1), (1, 2), (0, 2), (3, 4)], 6))
+@example(build_graph([(0, 1), (1, 2), (3, 4), (5, 6)], 8))
+@settings(max_examples=300, deadline=None)
+def test_rejection_counts_two_vertex_components(g):
+    k2 = _k2_by_bfs(g)
+    reason = _rejection(g)
+    if g.edge_count == 0 or g.max_degree() < 2:
+        assert reason is not None and "two-vertex" not in reason
+    elif k2:
+        assert reason is not None and reason.startswith(f"{k2} two-vertex component(s): ")
+    else:
+        assert reason is None
 
 
 def test_oracle_counts_integrated_colorings():

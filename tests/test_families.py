@@ -216,7 +216,7 @@ def test_necklace_set_equals_enumeration():
 def test_necklace_cap():
     with pytest.raises(Exception, match="cap"):
         list(necklace_enumerate(30))
-    necklaces = list(necklace_enumerate(22, cap=22))
+    necklaces = list(necklace_enumerate(22))
     assert len(necklaces) == len(set(necklaces)) == ic_cycle(22) == 39602
 
 
@@ -298,9 +298,9 @@ def test_validation_errors():
         list(sample_cycle(2, 0, 1))
 
 
-# The count vectors are ratio walks over consecutive binomials; the per-k
-# ``math.comb`` formulas are the oracle.  The orders cover every residue of
-# n mod 4, where the cycle diagonals start at different k.
+# The count vectors come from one ratio walk over consecutive binomials; the
+# per-k ``math.comb`` formulas are the oracle.  The ring reads the walks of
+# P_n and P_{n+1}, and the orders cover both parities of n and of n + 1.
 _WALK_ORDERS = [*range(2, 301), 6000, 6001, 6002, 6003]
 
 

@@ -98,3 +98,14 @@ def test_max_cut_off_by_one_fails_the_extremal_check(monkeypatch, fresh_corpus):
     real = verify.max_cut
     monkeypatch.setattr(verify, "max_cut", lambda g: real(g) + 1)
     assert _failed() == {"extremal-inequalities"}
+
+
+def test_ims_lower_off_by_one_fails_the_extremal_check(monkeypatch, fresh_corpus):
+    real = bounds.extremal_bounds
+
+    def raised(g):
+        ext = real(g)
+        return replace(ext, ims_lower=ext.ims_lower + 1)
+
+    monkeypatch.setattr(bounds, "extremal_bounds", raised)
+    assert _failed() == {"extremal-inequalities"}
