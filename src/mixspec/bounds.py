@@ -53,6 +53,7 @@ from .graph import (
 )
 
 ORACLE_CAP = 22
+Census = tuple[Counter[int], int]  # draw counts by integrated V'' mask, and the V'' mask
 
 
 class InapplicableError(ValueError):
@@ -304,10 +305,11 @@ class OracleMoments:
     ex2: Fraction
 
 
-def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
+def census(g: Graph) -> Census:
     """Census of all 2^{|V'|} semi-random draws: ``counts[m]`` is the number of
     draws whose integrated V'' vertices form the bitmask m.  Also returns the
     V'' bitmask, so a draw integrates the whole graph exactly when m equals it.
+    Raises ``InapplicableError`` on a ``_rejection`` or when |V'| > ``ORACLE_CAP``.
 
     Swapping both colors maps a draw to the draw on the complement of V' and
     keeps its failing set, so only the draws where the top vertex of V' is black
@@ -317,9 +319,9 @@ def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
     reason = _rejection(g)
     if reason is not None:
         raise InapplicableError(reason)
-    if len(stats.v_prime) > cap:
+    if len(stats.v_prime) > ORACLE_CAP:
         raise InapplicableError(
-            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {cap}"
+            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {ORACLE_CAP}"
         )
     failing = failing_vertices(g)
     vp = sum(1 << v for v in stats.v_prime)
@@ -346,17 +348,15 @@ def census(g: Graph, cap: int = ORACLE_CAP) -> tuple[Counter[int], int]:
 _census = census  # the oracles' ``census`` parameter shadows the function
 
 
-def semirandom_oracle(
-    g: Graph, cap: int = ORACLE_CAP, census: tuple[Counter[int], int] | None = None
-) -> OracleMoments:
-    """Exhaust all 2^{|V'|} semi-random colorings and return exact moments.
+def semirandom_oracle(g: Graph, census: Census | None = None) -> OracleMoments:
+    """Exact moments over all 2^{|V'|} semi-random colorings, |V'| <= ``ORACLE_CAP``.
 
     ``prob_integrated * 2^{|V'|}`` equals the number of integrated colorings
     exactly, because restriction to V' is a bijection between integrated
     colorings and integrated semi-random outcomes.  ``census``, if given, is
-    ``census(g, cap)`` already taken, and is read instead of a new scan.
+    ``census(g)`` already taken, and is read instead of a new scan.
     """
-    counts, vpp = census or _census(g, cap)
+    counts, vpp = census or _census(g)
     total = sum(counts.values())
     x_sum = sum(c * m.bit_count() for m, c in counts.items())
     x2_sum = sum(c * m.bit_count() ** 2 for m, c in counts.items())
@@ -365,13 +365,11 @@ def semirandom_oracle(
     )
 
 
-def pair_joint_moments(
-    g: Graph, cap: int = ORACLE_CAP, census: tuple[Counter[int], int] | None = None
-) -> dict[tuple[int, int], Fraction]:
-    """Exact E[I_v I_w] for every unordered V'' pair, by the same exhaustion
-    (or from ``census``, as in ``semirandom_oracle``).
+def pair_joint_moments(g: Graph, census: Census | None = None) -> dict[tuple[int, int], Fraction]:
+    """Exact E[I_v I_w] for every unordered V'' pair, by the same capped
+    exhaustion (or from ``census``, as in ``semirandom_oracle``).
     """
-    counts, vpp = census or _census(g, cap)
+    counts, vpp = census or _census(g)
     total = sum(counts.values())
     members = [v for v in range(g.vertex_count) if (vpp >> v) & 1]
     holding = {v: [(m, c) for m, c in counts.items() if (m >> v) & 1] for v in members}

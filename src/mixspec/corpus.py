@@ -30,15 +30,15 @@ def random_connected_min_degree_graph(rng: random.Random, max_vertices: int = 10
             return g
 
 
-def family_corpus(max_vertices: int = 10) -> list[tuple[str, Graph]]:
-    """Every path, cycle, complete graph, and biclique up to the size cap,
+def family_corpus() -> list[tuple[str, Graph]]:
+    """Every path, cycle, complete graph, and biclique on at most 10 vertices,
     plus the cube and the Petersen graph."""
     graphs: list[tuple[str, Graph]] = []
-    graphs.extend((f"path-{n}", path_graph(n)) for n in range(1, max_vertices + 1))
-    graphs.extend((f"cycle-{n}", cycle_graph(n)) for n in range(3, max_vertices + 1))
-    graphs.extend((f"complete-{n}", complete_graph(n)) for n in range(2, max_vertices + 1))
-    for m in range(1, max_vertices):
-        for n in range(m, max_vertices + 1 - m):
+    graphs.extend((f"path-{n}", path_graph(n)) for n in range(1, 11))
+    graphs.extend((f"cycle-{n}", cycle_graph(n)) for n in range(3, 11))
+    graphs.extend((f"complete-{n}", complete_graph(n)) for n in range(2, 11))
+    for m in range(1, 10):
+        for n in range(m, 11 - m):
             graphs.append((f"biclique-{m}-{n}", biclique_graph(m, n)))
     graphs.append(("cube", cube_graph()))
     graphs.append(("petersen", petersen_graph()))
@@ -55,7 +55,6 @@ def random_corpus(
     ]
 
 
-def standard_corpus(
-    max_vertices: int = 10, random_count: int = 100, seed: int = DEFAULT_CORPUS_SEED
-) -> list[tuple[str, Graph]]:
-    return family_corpus(max_vertices) + random_corpus(random_count, max_vertices, seed)
+def standard_corpus(random_count: int = 100) -> list[tuple[str, Graph]]:
+    """``family_corpus`` and ``random_corpus(random_count)``: at most 10 vertices."""
+    return family_corpus() + random_corpus(random_count)

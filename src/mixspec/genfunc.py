@@ -89,7 +89,7 @@ def path_gf_coeff(n: int) -> UPoly:
     ``families._path_weights`` rather than the table; ``path_gf_coeffs`` is
     the recurrence oracle it must equal."""
     if n < 1:
-        raise ValueError("need max_n >= 1")
+        raise ValueError("need n >= 1")
     return UPoly.of_counts(dict(families._path_weights(n)[0]))
 
 
@@ -118,7 +118,7 @@ def cycle_gf_coeff(n: int) -> UPoly:
     ``families.cycle_pmf``, zeros at the odd powers; ``cycle_gf_coeffs`` is
     the recurrence oracle it must equal."""
     if n < 2:
-        raise ValueError("need max_n >= 2")
+        raise ValueError("need n >= 2")
     return UPoly.of_counts(families.cycle_pmf(n).counts)
 
 
@@ -236,12 +236,13 @@ class ModelCheckReport:
     variability_gap_quoted: float
 
 
-def asymptotic_model_check(step: float = 1e-5) -> ModelCheckReport:
-    """Probe A and B near u = 1 with central finite differences.
+def asymptotic_model_check() -> ModelCheckReport:
+    """Probe A and B near u = 1 with central finite differences of step 1e-5.
 
     Verifies A(1) = B(1) = 1 and measures B'(1), B''(1), and the variability
     B''(1) + B'(1) - B'(1)^2 against both candidate variance rates.
     """
+    step = 1e-5
     b0 = growth_factor(1.0)
     bp = growth_factor(1.0 + step)
     bm = growth_factor(1.0 - step)

@@ -101,18 +101,18 @@ def check_cycles(max_n: int) -> CheckResult:
     return _result("cycles", failures, f"orders 3..{max_n}")
 
 
-def check_cycle_closed_form(max_n: int = 64) -> CheckResult:
+def check_cycle_closed_form() -> CheckResult:
     failures = [
         f"n={n}: recurrence {families.ic_cycle(n)} vs closed form {families.cycle_count_closed_form(n)}"
-        for n in range(2, max_n + 1)
+        for n in range(2, 65)
         if families.ic_cycle(n) != families.cycle_count_closed_form(n)
     ]
-    return _result("cycle-closed-form", failures, f"orders 2..{max_n}")
+    return _result("cycle-closed-form", failures, "orders 2..64")
 
 
-def check_sum_identities(max_n: int = 64) -> CheckResult:
+def check_sum_identities() -> CheckResult:
     failures = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 65):
         lo = (n + 1 - 1) // 2  # ceil((n-1)/2)
         path_sum = sum(families.path_mix_count(n, k) for k in range(lo, n))
         if path_sum != families.ic_path(n):
@@ -122,10 +122,11 @@ def check_sum_identities(max_n: int = 64) -> CheckResult:
         )
         if cycle_sum != families.ic_cycle(n):
             failures.append(f"cycle sum n={n}: {cycle_sum} != {families.ic_cycle(n)}")
-    return _result("spectrum-sum-identities", failures, f"orders 2..{max_n}")
+    return _result("spectrum-sum-identities", failures, "orders 2..64")
 
 
-def check_gf_against_pmfs(max_n: int = 64) -> CheckResult:
+def check_gf_against_pmfs() -> CheckResult:
+    max_n = 64
     failures = []
     path_polys = genfunc.path_gf_coeffs(max_n)
     cycle_polys = genfunc.cycle_gf_coeffs(max_n)
@@ -143,7 +144,8 @@ def check_gf_against_pmfs(max_n: int = 64) -> CheckResult:
     return _result("gf-vs-pmf-numerators", failures, f"orders 2..{max_n}")
 
 
-def check_gf_counts(max_n: int = 256) -> CheckResult:
+def check_gf_counts() -> CheckResult:
+    max_n = 256
     failures = []
     path_polys = genfunc.path_gf_coeffs(max_n)
     cycle_polys = genfunc.cycle_gf_coeffs(max_n)
@@ -193,7 +195,7 @@ def _bound_corpus(random_count: int) -> tuple[tuple, ...]:
     ``bounds.census``), the census None unless the bound is applicable and not
     exact.  Nothing in an entry is mutated, so sharing them is safe."""
     corpus = []
-    for name, g in standard_corpus(10, random_count):
+    for name, g in standard_corpus(random_count):
         report = bounds_mod.bound_general(g)
         census = bounds_mod.census(g) if report.applicable and not report.exact else None
         corpus.append((name, g, report, mix_histogram(g), census))
@@ -282,12 +284,12 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
     return _result("extremal-inequalities", failures, "spectrum bounds on the corpus")
 
 
-def check_propp(random_count: int, starts_per_graph: int = 3, seed: int = 7) -> CheckResult:
-    rng = random.Random(seed)
+def check_propp(random_count: int) -> CheckResult:
+    rng = random.Random(7)
     failures = []
     runs = 0
     for name, g, *_ in _bound_corpus(random_count):
-        for _ in range(starts_per_graph):
+        for _ in range(3):  # random starts per graph
             start = tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count))
             final, flips = propp_local_search(g, start)
             runs += 1
@@ -326,7 +328,7 @@ def informational_notes(max_n: int) -> list[str]:
     return notes
 
 
-def run_checks(max_n: int = 12, random_count: int = 100) -> tuple[list[CheckResult], list[str]]:
+def run_checks(max_n: int, random_count: int) -> tuple[list[CheckResult], list[str]]:
     """Run the full cross-check suite.
 
     ``max_n`` caps the family orders that are exhaustively enumerated;

@@ -74,7 +74,7 @@ def _report(capsys, number: int, label: str, started: float, failures: list[str]
 
 @pytest.fixture(scope="module")
 def corpus():
-    return standard_corpus(max_vertices=10, random_count=100)
+    return standard_corpus(random_count=100)
 
 
 @pytest.fixture(scope="module")

@@ -138,7 +138,7 @@ PENDANT_GRAPHS = [
 # and a dense and a sparse G(n, p).
 PAIR_SUM_GRAPHS = [
     (name, g)
-    for name, g in family_corpus(10)
+    for name, g in family_corpus()
     + random_corpus(100, 10)
     + PENDANT_GRAPHS
     + [("gnp-40", _gnp(40, 0.5, 1)), ("gnp-30-sparse", _gnp(30, 0.12, 2))]
@@ -270,11 +270,12 @@ def test_oracle_path4():
     assert neighborhood_stats(path_graph(4)).v_double_prime == frozenset()
 
 
-def test_oracle_cap_and_rejections():
+def test_oracle_cap_and_rejections(monkeypatch):
     with pytest.raises(InapplicableError):
         semirandom_oracle(path_graph(2))
-    with pytest.raises(InapplicableError):
-        semirandom_oracle(cycle_graph(10), cap=5)
+    with monkeypatch.context() as m, pytest.raises(InapplicableError):
+        m.setattr(bounds, "ORACLE_CAP", 5)
+        semirandom_oracle(cycle_graph(10))
     # Isolated vertices change no reason.
     cases = [
         (build_graph([], 4), "graph has no edges (the count is exactly 2^|V|)"),
@@ -343,7 +344,7 @@ def test_oracle_counts_integrated_colorings():
         assert oracle.prob_integrated * 2 ** len(stats.v_prime) == mix_histogram(g).ic
 
 
-def _semirandom_scan(g, cap):
+def _semirandom_scan(g):
     """Reference scan: yield (all integrated, [v integrated for v in sorted V''])
     for every semi-random draw, rebuilding each draw's white mask bit by bit."""
     stats = neighborhood_stats(g)
@@ -351,9 +352,9 @@ def _semirandom_scan(g, cap):
     if reason is not None:
         raise InapplicableError(reason)
     v_prime = sorted(stats.v_prime)
-    if len(v_prime) > cap:
+    if len(v_prime) > bounds.ORACLE_CAP:
         raise InapplicableError(
-            f"|V'| = {len(v_prime)} exceeds the oracle cap {cap}"
+            f"|V'| = {len(v_prime)} exceeds the oracle cap {bounds.ORACLE_CAP}"
         )
     vpp = sorted(stats.v_double_prime)
     n = g.vertex_count
@@ -388,9 +389,9 @@ def _semirandom_scan(g, cap):
         yield ok_all, ok_vpp
 
 
-def _oracle_reference(g, cap):
+def _oracle_reference(g):
     outcomes = good = x_sum = x2_sum = 0
-    for ok_all, ok_vpp in _semirandom_scan(g, cap):
+    for ok_all, ok_vpp in _semirandom_scan(g):
         outcomes += 1
         good += ok_all
         x = sum(ok_vpp)
@@ -401,11 +402,11 @@ def _oracle_reference(g, cap):
     )
 
 
-def _pair_reference(g, cap):
+def _pair_reference(g):
     vpp = sorted(neighborhood_stats(g).v_double_prime)
     counts = {(v, w): 0 for i, v in enumerate(vpp) for w in vpp[i + 1 :]}
     outcomes = 0
-    for _, ok_vpp in _semirandom_scan(g, cap):
+    for _, ok_vpp in _semirandom_scan(g):
         outcomes += 1
         for i, v in enumerate(vpp):
             for k in range(i + 1, len(vpp)):
@@ -414,23 +415,23 @@ def _pair_reference(g, cap):
     return {pair: Fraction(c, outcomes) for pair, c in counts.items()}
 
 
-def _outcome(fn, g, cap):
+def _outcome(fn, g):
     """The value fn returns, or the type and message of what it raises."""
     try:
-        return fn(g, cap)
+        return fn(g)
     except Exception as exc:
         return type(exc), str(exc)
 
 
-def _census_full_walk(g, cap):
+def _census_full_walk(g):
     """Reference census: every subset of V' walked once, each draw counted once."""
     stats = neighborhood_stats(g)
     reason = _rejection(g)
     if reason is not None:
         raise InapplicableError(reason)
-    if len(stats.v_prime) > cap:
+    if len(stats.v_prime) > bounds.ORACLE_CAP:
         raise InapplicableError(
-            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {cap}"
+            f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {bounds.ORACLE_CAP}"
         )
     failing = failing_vertices(g)
     vp = sum(1 << v for v in stats.v_prime)
@@ -452,28 +453,28 @@ def _census_full_walk(g, cap):
             return counts, vpp
 
 
-def _assert_oracles_match_scan(g, cap=bounds.ORACLE_CAP):
+def _assert_oracles_match_scan(g):
     # The census walks half the draws and counts each twice; the full walk
     # must give the same counts, not only the same ratios.
-    assert _outcome(census, g, cap) == _outcome(_census_full_walk, g, cap)
-    assert _outcome(semirandom_oracle, g, cap) == _outcome(_oracle_reference, g, cap)
-    got = _outcome(pair_joint_moments, g, cap)
-    want = _outcome(_pair_reference, g, cap)
+    assert _outcome(census, g) == _outcome(_census_full_walk, g)
+    assert _outcome(semirandom_oracle, g) == _outcome(_oracle_reference, g)
+    got = _outcome(pair_joint_moments, g)
+    want = _outcome(_pair_reference, g)
     assert got == want
     if isinstance(want, dict):
         assert list(got) == list(want)
         # One census handed to both oracles gives what each finds by its own scan,
         # and neither oracle changes it.
-        shared = census(g, cap)
-        assert semirandom_oracle(g, census=shared) == semirandom_oracle(g, cap)
+        shared = census(g)
+        assert semirandom_oracle(g, census=shared) == semirandom_oracle(g)
         assert list(pair_joint_moments(g, census=shared).items()) == list(got.items())
-        assert shared == census(g, cap)
+        assert shared == census(g)
 
 
 # The verify corpus, paths whose ends fall out of V'', the pendant graphs, and
 # graphs with isolated vertices, one of them the top vertex of V'.
 ORACLE_GRAPHS = (
-    standard_corpus(10, 100)
+    standard_corpus(100)
     + [(f"path-{n}", path_graph(n)) for n in range(5, 10)]
     + PENDANT_GRAPHS
     + [
@@ -497,14 +498,24 @@ def test_oracles_match_reference_scan_random(g):
 
 @pytest.mark.parametrize("g", [path_graph(2), build_graph([], 3), build_graph([(0, 1), (2, 3)])])
 def test_oracles_reject_like_reference_scan(g):
-    assert _outcome(semirandom_oracle, g, bounds.ORACLE_CAP)[0] is InapplicableError
+    assert _outcome(semirandom_oracle, g)[0] is InapplicableError
     _assert_oracles_match_scan(g)
 
 
-def test_oracles_cap_like_reference_scan():
+def test_oracles_cap_like_reference_scan(monkeypatch):
+    monkeypatch.setattr(bounds, "ORACLE_CAP", 5)
     for g in (cycle_graph(10), petersen_graph(), _caterpillar(12, 1)):
-        assert _outcome(semirandom_oracle, g, 5)[0] is InapplicableError
-        _assert_oracles_match_scan(g, cap=5)
+        assert _outcome(semirandom_oracle, g)[0] is InapplicableError
+        _assert_oracles_match_scan(g)
+
+
+def test_oracle_cap_is_inclusive(monkeypatch):
+    # |V'| equal to the cap is answered; one more vertex is refused.
+    monkeypatch.setattr(bounds, "ORACLE_CAP", 5)
+    counts, _ = census(cycle_graph(5))
+    assert sum(counts.values()) == 2**5
+    with pytest.raises(InapplicableError, match=r"^\|V'\| = 6 exceeds the oracle cap 5$"):
+        census(cycle_graph(6))
 
 
 def test_oracle_guard_outside_v_double_prime(monkeypatch):

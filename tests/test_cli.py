@@ -139,6 +139,17 @@ def test_family_without_n_exit2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["moments", "--family", "path", "--n", "0"], "mixspec: need n >= 1\n"),
+        (["gf", "--family", "cycle", "--n", "1"], "mixspec: need n >= 2\n"),
+    ],
+)
+def test_single_row_below_family_range_names_n(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gen", "--n", "4"],

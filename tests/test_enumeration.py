@@ -335,6 +335,6 @@ def test_propp_strictly_increases_mix(g):
 
 def test_propp_matches_trace_on_corpus():
     rng = random.Random(12)
-    for _, g in standard_corpus(10, 100):
+    for _, g in standard_corpus(100):
         for _ in range(3):
             _check_propp_against_trace(g, tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count)))

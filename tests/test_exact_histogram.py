@@ -124,14 +124,14 @@ def test_frontier_dp_matches_search_in_any_order(case):
 
 
 def test_frontier_dp_matches_search_on_corpus():
-    for name, g in standard_corpus(10, 100):
+    for name, g in standard_corpus(100):
         expected = mix_histogram(g)
         assert _frontier_counts(g, list(range(g.vertex_count))) == expected.counts, name
         assert exact_histogram(g) == expected, name
 
 
 def _on_corpus(engine):
-    return [engine(g) for _, g in standard_corpus(10, 100)]
+    return [engine(g) for _, g in standard_corpus(100)]
 
 
 _PRODUCERS = {
@@ -145,7 +145,7 @@ _PRODUCERS = {
 def test_corpus_reaches_every_exact_engine():
     engines = {"closed form" if _closed_form_counts(g) is not None
                else "frontier DP" if _frontier_order(g) is not None else "search"
-               for _, g in standard_corpus(10, 100)}
+               for _, g in standard_corpus(100)}
     assert engines == {"closed form", "frontier DP", "search"}
 
 
@@ -265,7 +265,7 @@ def test_budget_bounds_the_chosen_order():
 
 
 def _order_cases():
-    yield from (g for _, g in standard_corpus(10, 300))
+    yield from (g for _, g in standard_corpus(300))
     yield from (_grid(3, 60), path_graph(500), cycle_graph(400), _star_plus_edge(1500))
 
 

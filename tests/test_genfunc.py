@@ -69,9 +69,9 @@ def test_single_rows_equal_the_recurrence_tables():
 
 
 def test_single_rows_reject_orders_below_the_family_range():
-    with pytest.raises(ValueError, match=r"^need max_n >= 1$"):
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
         path_gf_coeff(0)
-    with pytest.raises(ValueError, match=r"^need max_n >= 2$"):
+    with pytest.raises(ValueError, match=r"^need n >= 2$"):
         cycle_gf_coeff(1)
 
 

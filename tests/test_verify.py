@@ -29,12 +29,12 @@ def test_random_corpus_is_deterministic_and_valid():
 
 
 def test_standard_corpus_composition():
-    corpus = standard_corpus(max_vertices=10, random_count=7)
+    corpus = standard_corpus(random_count=7)
     names = [name for name, _ in corpus]
     assert "petersen" in names and "cube" in names
     assert sum(1 for n in names if n.startswith("random-")) == 7
     assert len(names) == len(set(names))
-    assert len(family_corpus(10)) + 7 == len(corpus)
+    assert len(family_corpus()) + 7 == len(corpus)
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ def test_census_runs_once_per_applicable_inexact_graph(monkeypatch, fresh_corpus
     monkeypatch.setattr(bounds, "census", counting)
     monkeypatch.setattr(bounds, "_census", counting)
     assert _failed() == set()
-    reports = [(g, bounds.bound_general(g)) for _, g in standard_corpus(10, 20)]
+    reports = [(g, bounds.bound_general(g)) for _, g in standard_corpus(20)]
     assert scanned == [g for g, r in reports if r.applicable and not r.exact]
 
 
