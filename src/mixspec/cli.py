@@ -63,7 +63,7 @@ def _env_cap() -> int | None:
 
 
 def _effective_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     return _env_cap()
 
@@ -147,6 +147,15 @@ def _graph_histogram(args) -> tuple[str, int, MixHistogram]:
     g = _load_graph(args)
     label = "input" if args.input is not None else args.family
     return label, g.vertex_count, exact_histogram(g, cap=_effective_cap(args))
+
+
+def _histogram(args) -> tuple[str, int, MixHistogram]:
+    """``_graph_histogram``'s triple, from the family pmf for path and cycle,
+    which take any order in the family's range, else from the graph."""
+    family = _path_or_cycle(args)
+    if family:
+        return family, args.n, getattr(families, f"{family}_pmf")(args.n)
+    return _graph_histogram(args)
 
 
 def _rational(value: Fraction) -> dict:
@@ -252,11 +261,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
-    family = _path_or_cycle(args)
-    if family:
-        label, order, hist = family, args.n, getattr(families, f"{family}_pmf")(args.n)
-    else:
-        label, order, hist = _graph_histogram(args)
+    label, order, hist = _histogram(args)
     total = hist.ic
     if args.format == "csv":
         den = str(total)
@@ -306,13 +311,8 @@ def _cmd_moments(args) -> int:
     if family and args.n >= 8:
         _emit_json(_clt_json(genfunc.clt_diagnostics(family, args.n)))
         return EXIT_OK
-    if family:
-        poly = getattr(genfunc, f"{family}_gf_coeff")(args.n)
-        label, order = family, args.n
-    else:
-        label, order, hist = _graph_histogram(args)
-        poly = genfunc.UPoly.of_counts(hist.counts)
-    mean, variance = genfunc.pgf_moments(poly)
+    label, order, hist = _histogram(args)
+    mean, variance = genfunc.pgf_moments(genfunc.UPoly.of_counts(hist.counts))
     _emit_json(
         {
             "family": label,
@@ -371,6 +371,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_source_flags(p: argparse.ArgumentParser, families_only: bool = False) -> None:
     if not families_only:
         p.add_argument("--input", help="edge-list file, or '-' for stdin")
+        p.add_argument("--cap", type=_non_negative, help="vertex cap for exhaustive search")
     p.add_argument(
         "--family",
         choices=["path", "cycle", "complete", "biclique", "petersen"],
@@ -390,18 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream integrated colorings, one 0/1 line each")
     _add_source_flags(p)
-    p.add_argument("--cap", type=_non_negative, help="vertex cap for exhaustive search")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("spectrum", help="exact mixing-number histogram")
     _add_source_flags(p)
-    p.add_argument("--cap", type=_non_negative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("pmf", help="exact mixing-number distribution")
     _add_source_flags(p)
-    p.add_argument("--cap", type=_non_negative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_pmf)
 
@@ -418,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact mean/variance and normal-law diagnostics")
     _add_source_flags(p)
-    p.add_argument("--cap", type=_non_negative)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bound", help="second-moment upper bounds on the coloring count")
     _add_source_flags(p)
-    p.add_argument("--cap", type=_non_negative)
     p.add_argument(
         "--variant",
         choices=["general", "min-degree", "regular", "srg", "auto"],

@@ -4,8 +4,9 @@ complete graphs, bicliques, paths, and rings.
 All counts are exact integers and all probabilities exact rationals; floats
 never enter these computations.
 
-Each family's per-n count vector has one source, ``_path_weights`` or
-``_cycle_weights``, read by the pmfs, the samplers and ``genfunc``'s rows.
+Each family's per-n count vector, and the check of its range of orders,
+has one source, ``_path_weights`` or ``_cycle_weights``, read by the pmfs,
+the samplers and ``genfunc``'s rows.
 ``_path_weights`` is the one binomial ratio walk: the ring's classes are
 path counts, so ``_cycle_weights`` reads its vector off two path walks.
 The pmfs are ``enumeration.MixHistogram``s, like the engines' histograms.
@@ -111,8 +112,6 @@ def path_pmf(n: int) -> MixHistogram:
     Pr[mix = k] = 2 C(k-1, n-k-1) / ic(P_n) for k in the realized range;
     the count vanishes at k = (n-1)/2 for odd n, and such entries are omitted.
     """
-    if n < 2:
-        raise ValueError("need at least one edge")
     return MixHistogram(dict(_path_weights(n)[0]))
 
 
@@ -123,9 +122,12 @@ def _path_weights(n: int) -> tuple[list[tuple[int, int]], int]:
     k = n-1, where C(n-2, 0) = 1, and steps k down by one with the exact ratio
         C(a-1, b+1) = C(a, b) (a-b)(a-b-1) / (a (b+1)),
     one bignum multiply and one exact divide per k.  It stops where the next
-    binomial leaves its support, at k = ceil((n-1)/2).  ``path_mix_count``
-    evaluates each count on its own and is the oracle the tests compare with.
+    binomial leaves its support, at k = ceil((n-1)/2).  It alone checks the
+    range n >= 1 (P_1 has mix 0 in both colors).  ``path_mix_count`` evaluates
+    each count on its own and is the oracle the tests compare with.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     weights = [(n - 1, 2)]
     a, b, c = n - 2, 0, 1
     while a - b >= 2:
@@ -186,8 +188,6 @@ def cycle_pmf(n: int) -> MixHistogram:
     Pr[mix = 2k] = cycle_mix_count(n, 2k) / ic(C_n), both classes of
     ``_cycle_weights`` summed.
     """
-    if n < 2:
-        raise ValueError("rings start at two vertices")
     counts: dict[int, int] = {}
     for k, _, w in _cycle_weights(n)[0]:
         counts[2 * k] = counts.get(2 * k, 0) + w
@@ -202,8 +202,11 @@ def _cycle_weights(n: int) -> tuple[list[tuple[int, bool, int]], int]:
     2 C(2k-1, n-2k) is P_{n+1}'s, and the mixed count 4 C(2k-1, n-2k-1) is
     twice P_n's.  So both are read off ``_path_weights``' even entries.
     ``_cycle_class_counts`` evaluates each count on its own and is the
-    oracle the tests compare with.
+    oracle the tests compare with.  It alone checks the range n >= 2; C_2
+    is ``ic_cycle``'s two-vertex ring, with both edges balanced.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     weights = [(mix // 2, True, c) for mix, c in _path_weights(n + 1)[0] if mix % 2 == 0]
     weights += [(mix // 2, False, 2 * c) for mix, c in _path_weights(n)[0] if mix % 2 == 0]
     weights.sort(key=lambda w: (w[0], not w[1]))
@@ -315,8 +318,6 @@ def sample_path(n: int, seed: int, count: int) -> Iterator[Coloring]:
     Sample ``i`` is a pure function of (n, seed, i), drawn from a SplitMix64
     generator seeded with output ``i`` of the stream seeded at ``seed``.
     """
-    if n < 2:
-        raise ValueError("need at least one edge")
     weights, total = _path_weights(n)
     cumulative = list(accumulate(c for _, c in weights))
     for _, nxt in zip(range(count), _streams(n, seed)):
@@ -332,8 +333,6 @@ def sample_cycle(n: int, seed: int, count: int) -> Iterator[Coloring]:
     without balanced edges at both ends gets its unbalanced edge in front or
     at the back by a coin; the last edge closes the ring and is left out.
     """
-    if n < 3:
-        raise ValueError("simple rings start at three vertices")
     weights, total = _cycle_weights(n)
     cumulative = list(accumulate(w for _, _, w in weights))
     for _, nxt in zip(range(count), _streams(n, seed)):

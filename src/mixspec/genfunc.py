@@ -85,12 +85,10 @@ def path_gf_coeffs(max_n: int) -> list[UPoly]:
 
 
 def path_gf_coeff(n: int) -> UPoly:
-    """[z^n] of the path generating function, read from the O(n) count vector
-    ``families._path_weights`` rather than the table; ``path_gf_coeffs`` is
-    the recurrence oracle it must equal."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return UPoly.of_counts(dict(families._path_weights(n)[0]))
+    """[z^n] of the path generating function: the counts of
+    ``families.path_pmf``, read from its O(n) count vector rather than the
+    table; ``path_gf_coeffs`` is the recurrence oracle it must equal."""
+    return UPoly.of_counts(families.path_pmf(n).counts)
 
 
 def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
@@ -117,8 +115,6 @@ def cycle_gf_coeff(n: int) -> UPoly:
     """[z^n] of the ring generating function: the counts of
     ``families.cycle_pmf``, zeros at the odd powers; ``cycle_gf_coeffs`` is
     the recurrence oracle it must equal."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     return UPoly.of_counts(families.cycle_pmf(n).counts)
 
 

@@ -13,7 +13,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import families, genfunc
@@ -80,7 +79,7 @@ def check_paths(max_n: int) -> CheckResult:
         hist = mix_histogram(path_graph(n))
         if hist.ic != families.ic_path(n):
             failures.append(f"P_{n}: count {families.ic_path(n)} vs enumerated {hist.ic}")
-        if n >= 2 and families.path_pmf(n).counts != hist.counts:
+        if families.path_pmf(n).counts != hist.counts:
             failures.append(f"P_{n}: pmf mismatch")
     return _result("paths", failures, f"orders 1..{max_n}")
 
@@ -188,12 +187,12 @@ def check_clt_increments() -> CheckResult:
     return _result("clt-increments", failures, "mean and variance rates at n=200")
 
 
-@lru_cache(maxsize=1)
 def _bound_corpus(random_count: int) -> tuple[tuple, ...]:
-    """The corpus with each graph's exhaustive passes, made once per run for the
-    corpus checks: entries (name, graph, general bound, ``mix_histogram``,
-    ``bounds.census``), the census None unless the bound is applicable and not
-    exact.  Nothing in an entry is mutated, so sharing them is safe."""
+    """The corpus with each graph's exhaustive passes, which ``run_checks``
+    makes once and hands to each corpus check: entries (name, graph, general
+    bound, ``mix_histogram``, ``bounds.census``), the census None unless the
+    bound is applicable and not exact.  Nothing in an entry is mutated, so
+    sharing them is safe."""
     corpus = []
     for name, g in standard_corpus(random_count):
         report = bounds_mod.bound_general(g)
@@ -202,10 +201,10 @@ def _bound_corpus(random_count: int) -> tuple[tuple, ...]:
     return tuple(corpus)
 
 
-def check_bound_moments(random_count: int) -> CheckResult:
+def check_bound_moments(corpus: tuple[tuple, ...]) -> CheckResult:
     failures = []
     applicable = 0
-    for name, g, report, hist, census in _bound_corpus(random_count):
+    for name, g, report, hist, census in corpus:
         if not report.applicable:
             continue
         applicable += 1
@@ -228,10 +227,10 @@ def check_bound_moments(random_count: int) -> CheckResult:
     return _result("bound-moments-and-soundness", failures, f"{applicable} applicable graphs")
 
 
-def check_alpha_pairs(random_count: int) -> CheckResult:
+def check_alpha_pairs(corpus: tuple[tuple, ...]) -> CheckResult:
     failures = []
     checked = 0
-    for name, g, _, _, census in _bound_corpus(random_count):
+    for name, g, _, _, census in corpus:
         if census is None:
             continue
         stats = neighborhood_stats(g)
@@ -248,10 +247,10 @@ def check_alpha_pairs(random_count: int) -> CheckResult:
     return _result("alpha-pair-moments", failures, f"{checked} pairs")
 
 
-def check_specialized_bounds(random_count: int) -> CheckResult:
+def check_specialized_bounds(corpus: tuple[tuple, ...]) -> CheckResult:
     failures = []
     compared = 0
-    for name, g, general, *_ in _bound_corpus(random_count):
+    for name, g, general, *_ in corpus:
         if not general.applicable:
             continue
         if g.vertex_count and g.min_degree() >= 2:
@@ -265,9 +264,9 @@ def check_specialized_bounds(random_count: int) -> CheckResult:
     return _result("specialized-bounds", failures, f"{compared} comparisons")
 
 
-def check_extremal_inequalities(random_count: int) -> CheckResult:
+def check_extremal_inequalities(corpus: tuple[tuple, ...]) -> CheckResult:
     failures = []
-    for name, g, _, hist, _ in _bound_corpus(random_count):
+    for name, g, _, hist, _ in corpus:
         ext = bounds_mod.extremal_bounds(g)
         if hist.ims_min < ext.ims_lower:
             failures.append(f"{name}: spectrum minimum below |E|/2")
@@ -284,11 +283,11 @@ def check_extremal_inequalities(random_count: int) -> CheckResult:
     return _result("extremal-inequalities", failures, "spectrum bounds on the corpus")
 
 
-def check_propp(random_count: int) -> CheckResult:
+def check_propp(corpus: tuple[tuple, ...]) -> CheckResult:
     rng = random.Random(7)
     failures = []
     runs = 0
-    for name, g, *_ in _bound_corpus(random_count):
+    for name, g, *_ in corpus:
         for _ in range(3):  # random starts per graph
             start = tuple(rng.choice((BLACK, WHITE)) for _ in range(g.vertex_count))
             final, flips = propp_local_search(g, start)
@@ -345,10 +344,12 @@ def run_checks(max_n: int, random_count: int) -> tuple[list[CheckResult], list[s
         check_gf_counts(),
         check_asymptotic_model(),
         check_clt_increments(),
-        check_bound_moments(random_count),
-        check_alpha_pairs(random_count),
-        check_specialized_bounds(random_count),
-        check_extremal_inequalities(random_count),
-        check_propp(random_count),
+    ]
+    # Made after the family checks, so that it is not held while they run.
+    corpus = _bound_corpus(random_count)
+    results += [
+        check(corpus)
+        for check in (check_bound_moments, check_alpha_pairs, check_specialized_bounds,
+                      check_extremal_inequalities, check_propp)
     ]
     return results, informational_notes(max_n)

@@ -143,10 +143,32 @@ def test_family_without_n_exit2(capsys, argv):
     [
         (["moments", "--family", "path", "--n", "0"], "mixspec: need n >= 1\n"),
         (["gf", "--family", "cycle", "--n", "1"], "mixspec: need n >= 2\n"),
+        (["pmf", "--family", "path", "--n", "0"], "mixspec: need n >= 1\n"),
+        (["sample", "--family", "cycle", "--n", "1", "--seed", "1", "--count", "1"],
+         "mixspec: need n >= 2\n"),
+        (["moments", "--family", "cycle", "--n", "1"], "mixspec: need n >= 2\n"),
     ],
 )
 def test_single_row_below_family_range_names_n(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_smallest_family_orders_get_one_law_across_verbs(capsys):
+    # P_1 is one vertex with mix 0 in both colors; C_2 is the two-vertex ring,
+    # both edges balanced.  pmf and sample answer them as spectrum, gf and
+    # moments do.
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "path", "--n", "1")
+    assert code == 0
+    histogram = {int(k): c for k, c in json.loads(out)["histogram"].items()}
+    code, out, _ = run_cli(capsys, "pmf", "--family", "path", "--n", "1")
+    assert code == 0
+    masses = {e["mix"]: Fraction(int(e["num"]), int(e["den"])) for e in json.loads(out)["pmf"]}
+    assert masses == {k: Fraction(c, sum(histogram.values())) for k, c in histogram.items()}
+    for family, n, words in (("path", "1", {"0", "1"}), ("cycle", "2", {"01", "10"})):
+        code, out, _ = run_cli(capsys, "sample", "--family", family, "--n", n,
+                               "--seed", "3", "--count", "40")
+        assert code == 0
+        assert set(out.splitlines()) == words, family
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from mixspec import bounds, families, verify
 from mixspec.corpus import family_corpus, random_corpus, standard_corpus
 from mixspec.graph import is_connected
@@ -37,21 +35,12 @@ def test_standard_corpus_composition():
     assert len(family_corpus()) + 7 == len(corpus)
 
 
-@pytest.fixture
-def fresh_corpus():
-    """Drop the cached verify corpus before and after, so that a test sees its own
-    patches and leaves none behind."""
-    verify._bound_corpus.cache_clear()
-    yield
-    verify._bound_corpus.cache_clear()
-
-
 def _failed() -> set[str]:
     results, _ = run_checks(max_n=6, random_count=20)
     return {r.name for r in results if not r.passed}
 
 
-def test_census_runs_once_per_applicable_inexact_graph(monkeypatch, fresh_corpus):
+def test_census_runs_once_per_applicable_inexact_graph(monkeypatch):
     scanned = []
     real = bounds.census
 
@@ -71,7 +60,7 @@ def test_census_runs_once_per_applicable_inexact_graph(monkeypatch, fresh_corpus
 # that read it and no other.
 
 
-def test_census_short_of_one_draw_fails_the_oracle_checks(monkeypatch, fresh_corpus):
+def test_census_short_of_one_draw_fails_the_oracle_checks(monkeypatch):
     real = bounds.census
 
     def short(g, *args, **kwargs):
@@ -83,7 +72,7 @@ def test_census_short_of_one_draw_fails_the_oracle_checks(monkeypatch, fresh_cor
     assert _failed() == {"bound-moments-and-soundness", "alpha-pair-moments"}
 
 
-def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch, fresh_corpus):
+def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch):
     real = families.cycle_pmf
 
     def shifted(n):
@@ -94,13 +83,13 @@ def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch, fresh_corpus):
     assert _failed() == {"cycles"}
 
 
-def test_max_cut_off_by_one_fails_the_extremal_check(monkeypatch, fresh_corpus):
+def test_max_cut_off_by_one_fails_the_extremal_check(monkeypatch):
     real = verify.max_cut
     monkeypatch.setattr(verify, "max_cut", lambda g: real(g) + 1)
     assert _failed() == {"extremal-inequalities"}
 
 
-def test_ims_lower_off_by_one_fails_the_extremal_check(monkeypatch, fresh_corpus):
+def test_ims_lower_off_by_one_fails_the_extremal_check(monkeypatch):
     real = bounds.extremal_bounds
 
     def raised(g):
