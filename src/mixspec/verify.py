@@ -88,14 +88,21 @@ def check_cycles(max_n: int) -> CheckResult:
     failures = []
     for n in range(3, max_n + 1):
         g = cycle_graph(n)
-        necklaces = list(families.necklace_enumerate(n))
-        enum_set = set(enumerate_integrated(g))
-        if len(enum_set) != families.ic_cycle(n):
-            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {len(enum_set)}")
-        # The pmf's counts from the same enumeration, through the set-based mix.
-        if families.cycle_pmf(n).counts != Counter(mix_of_coloring(g, c) for c in enum_set):
+        # One pass over the search: each coloring's set-based mix is counted
+        # and only its packed bytes are kept, so no tuple outlives its step.
+        mixes = Counter()
+        packed = []
+        for c in enumerate_integrated(g):
+            mixes[mix_of_coloring(g, c)] += 1
+            packed.append(bytes(c))
+        if len(packed) != families.ic_cycle(n):
+            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {len(packed)}")
+        if families.cycle_pmf(n).counts != mixes:
             failures.append(f"C_{n}: pmf mismatch")
-        if len(necklaces) != len(enum_set) or set(necklaces) != enum_set:
+        # Equal sorted lists are equal multisets: a coloring repeated,
+        # missing or extra in either source shows.
+        packed.sort()
+        if sorted(map(bytes, families.necklace_enumerate(n))) != packed:
             failures.append(f"C_{n}: necklace tiling disagrees with enumeration")
     return _result("cycles", failures, f"orders 3..{max_n}")
 
@@ -346,6 +353,8 @@ def run_checks(max_n: int, random_count: int) -> tuple[list[CheckResult], list[s
         check_clt_increments(),
     ]
     # Made after the family checks, so that it is not held while they run.
+    # They hold little (the cycle check keeps only packed colorings), so the
+    # peak memory of ``verify`` is reached from here on.
     corpus = _bound_corpus(random_count)
     results += [
         check(corpus)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
+from itertools import islice
+
+import pytest
 
 from mixspec import bounds, families, verify
 from mixspec.corpus import family_corpus, random_corpus, standard_corpus
-from mixspec.graph import is_connected
+from mixspec.graph import BLACK, is_connected
 from mixspec.verify import run_checks
 
 
@@ -81,6 +85,46 @@ def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch):
 
     monkeypatch.setattr(families, "cycle_pmf", shifted)
     assert _failed() == {"cycles"}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda n, words: words + words[:1],
+        lambda n, words: words[1:],
+        lambda n, words: [(BLACK,) * n] + words[1:],
+    ],
+    ids=["repeated", "dropped", "all-black"],
+)
+def test_necklace_tiling_made_wrong_fails_the_cycle_check(monkeypatch, edit):
+    real = families.necklace_enumerate
+    monkeypatch.setattr(families, "necklace_enumerate", lambda n: edit(n, list(real(n))))
+    assert _failed() == {"cycles"}
+
+
+def test_search_short_of_one_coloring_fails_the_cycle_check(monkeypatch):
+    real = verify.enumerate_integrated
+    monkeypatch.setattr(verify, "enumerate_integrated", lambda g: islice(real(g), 1, None))
+    assert _failed() == {"cycles"}
+
+
+def test_mix_off_by_one_fails_the_cycle_check(monkeypatch):
+    # The Propp check reads the mix too, but only compares two of its values.
+    real = verify.mix_of_coloring
+    monkeypatch.setattr(verify, "mix_of_coloring", lambda g, c: real(g, c) + 1)
+    assert _failed() == {"cycles"}
+
+
+def test_cycle_check_holds_only_packed_colorings():
+    # C_15's colorings held as tuples, in a list and in sets, take more than
+    # twice this bound.
+    tracemalloc.start()
+    try:
+        assert verify.check_cycles(15).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
 
 
 def test_max_cut_off_by_one_fails_the_extremal_check(monkeypatch):
