@@ -18,8 +18,8 @@ specialized-bounds check cross-checks them against the general bound.
 The pair total sum_{v != w} E[I_v I_w] is sparse: I_v depends only on the
 colors of N[v] ∩ V', so V'' vertices at distance >= 3 are independent and
 E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
-probability ``alpha``, found by a two-hop walk from each V'' vertex, so the
-pair total costs O(|V''| Delta^2) ``alpha`` calls, each O(lambda) binomials.
+probability ``alpha``, found by a two-hop walk from each V'' vertex, and
+``_moments`` evaluates it on one pair per local type of pair.
 
 The oracle's ``census`` counts the 2^{|V'|} semi-random draws by the subset of
 V'' they integrate, testing each with ``graph.failing_vertices`` (reference:
@@ -106,48 +106,42 @@ def _tail_sums(top: int) -> list[int]:
     return list(accumulate(comb(top, k) for k in range(top, -1, -1)))[::-1]
 
 
-def _integration_weights(g: Graph, stats: NeighborhoodStats) -> tuple[dict[int, int], int]:
-    """Pr[v is integrated] for each v in V'', as numerators over 2^top with
-    top = max lambda over V''.
+def _moments(g: Graph, stats: NeighborhoodStats) -> tuple[Fraction, Fraction]:
+    """mu = sum of p_v = Pr[v is integrated] over V'', and the pair total
+    sum_{v != w} E[I_v I_w].
 
     v is integrated when at least lambda(v) - deg(v)/2 of its lambda(v) fair
-    non-pendant neighbors take the other color (its pendants always do).
-    """
-    top = max(stats.lam[v] for v in stats.v_double_prime)
-    weights = {}
-    for v in stats.v_double_prime:
-        lam = stats.lam[v]
-        k_min = (2 * lam - g.degree(v) + 1) // 2
-        weights[v] = _tail_sums(lam)[k_min] << (top - lam)
-    return weights, top
-
-
-def _mu_general(g: Graph, stats: NeighborhoodStats) -> Fraction:
-    weights, top = _integration_weights(g, stats)
-    return Fraction(sum(weights.values()), 1 << top)
-
-
-def _pair_sum(g: Graph, stats: NeighborhoodStats) -> Fraction:
-    """Sum of alpha_{0,j} + alpha_{1,j} over unordered V'' pairs, which is
-    sum_{v != w} E[I_v I_w].  Pairs at distance >= 3 contribute 2 p_v p_w, so
+    non-pendant neighbors take the other color (its pendants always do), so
+    p_v depends only on v's kind (lambda(v), deg v).  Pairs at distance >= 3
+    contribute 2 p_v p_w, so
 
         total = (mu^2 - sum p_v^2) + sum_{v<w, dist <= 2} (alpha_0 + alpha_1 - 2 p_v p_w)
 
-    with every term an integer over 2^(2 top).
+    where a term depends only on the pair's type (both kinds, lambda_vw, j):
+    ``alpha`` runs on the first pair of each type, and the term counts once
+    per pair.  Each p_v is an integer over 2^top, top = max lambda over V'',
+    and each term one over 2^(2 top).
     """
-    weights, top = _integration_weights(g, stats)
-    bits = 2 * top
-    total = sum(weights.values()) ** 2 - sum(p * p for p in weights.values())
-    adjacency = g.adjacency
-    for v, p_v in weights.items():
-        near = adjacency[v].union(*(adjacency[u] for u in adjacency[v]))
-        for w in near:
-            if w > v and w in weights:
+    adjacency, vpp = g.adjacency, stats.v_double_prime
+    kind = {v: (stats.lam[v], len(adjacency[v])) for v in vpp}
+    kinds = Counter(kind.values())
+    top = max(lv for lv, _ in kinds)
+    p = {(lv, d): _tail_sums(lv)[(2 * lv - d + 1) // 2] << (top - lv) for lv, d in kinds}
+    mu = sum(c * p[k] for k, c in kinds.items())
+    types: dict[tuple, list[int]] = {}  # pair count and first pair of each type
+    for v in vpp:
+        for w in adjacency[v].union(*(adjacency[u] for u in adjacency[v])):
+            if w > v and w in vpp:
                 j = int(w in adjacency[v])
-                a0 = _scaled(alpha(g, stats, v, w, 0, j), bits)
-                a1 = _scaled(alpha(g, stats, v, w, 1, j), bits)
-                total += a0 + a1 - 2 * p_v * weights[w]
-    return Fraction(total, 1 << bits)
+                key = kind[v], kind[w], len(adjacency[v] & adjacency[w]), j
+                types.setdefault(key, [0, v, w])[0] += 1
+    bits = 2 * top
+    total = mu * mu - sum(c * p[k] ** 2 for k, c in kinds.items())
+    for (kind_v, kind_w, _, j), (count, v, w) in types.items():
+        a0 = _scaled(alpha(g, stats, v, w, 0, j), bits)
+        a1 = _scaled(alpha(g, stats, v, w, 1, j), bits)
+        total += count * (a0 + a1 - 2 * p[kind_v] * p[kind_w])
+    return Fraction(mu, 1 << top), Fraction(total, 1 << bits)
 
 
 def _scaled(x: Fraction, bits: int) -> int:
@@ -234,8 +228,7 @@ def bound_general(g: Graph) -> BoundReport:
             upper_bound=Fraction(1 << vp),
             exact=True,
         )
-    mu = _mu_general(g, stats)
-    return _finish("general", mu, _pair_sum(g, stats), vpp, vp, iso)
+    return _finish("general", *_moments(g, stats), vpp, vp, iso)
 
 
 _HYPOTHESES = {
@@ -271,15 +264,15 @@ def bound_specialized(g: Graph, variant: str) -> BoundReport:
         return BoundReport(variant, False, _HYPOTHESES[variant])
     stats = neighborhood_stats(g)
     mu = Fraction(n, 2)
-    for d in map(g.degree, range(n)):
+    for d, count in Counter(map(g.degree, range(n))).items():
         if d % 2 == 0:
-            mu += Fraction(comb(d, d // 2), 1 << (d + 1))
-    pair_total = _srg_pair_total(g, stats, params.r) if variant == "srg" else _pair_sum(g, stats)
+            mu += count * Fraction(comb(d, d // 2), 1 << (d + 1))
+    pair_total = _srg_pair_total(g, stats, params.r) if variant == "srg" else _moments(g, stats)[1]
     return _finish(variant, mu, pair_total, n, n)
 
 
 def _srg_pair_total(g: Graph, stats: NeighborhoodStats, r: int) -> Fraction:
-    """``_pair_sum`` for a strongly regular graph: one alpha pair per adjacency
+    """The pair total on a strongly regular graph: one alpha pair per adjacency
     class, weighted by the n r / 2 adjacent and n (n - r - 1) / 2 other pairs."""
     n = g.vertex_count
     # detect_srg requires r >= 2 and a non-adjacent pair, so r <= n - 2 and

@@ -162,7 +162,7 @@ class MixHistogram:
 
     @property
     def ims(self) -> tuple[int, ...]:
-        return tuple(sorted(k for k, c in self.counts.items() if c > 0))
+        return tuple(self.counts)
 
     @property
     def ims_min(self) -> int:

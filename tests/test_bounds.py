@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mixspec import bounds
 from mixspec.bounds import (
     InapplicableError,
-    _pair_sum,
+    _moments,
     _rejection,
     _srg_pair_total,
     alpha,
@@ -134,13 +134,19 @@ PENDANT_GRAPHS = [
     ("star-tail", build_graph([(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in (0, *range(4, 12))])),
     ("triangle-tails", build_graph([(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8)])),
 ]
+# Complete graphs and bicliques past the verify corpus: every V'' pair is
+# dependent and falls in one to three local types.
+DENSE_GRAPHS = [(f"complete-{n}", complete_graph(n)) for n in range(11, 15)] + [
+    (f"biclique-{m}-{n}", biclique_graph(m, n)) for m, n in ((6, 6), (5, 7), (4, 9))
+]
 # Every graph of the verify corpus with a non-empty V'', the pendant graphs,
-# and a dense and a sparse G(n, p).
+# the dense graphs, and a dense and a sparse G(n, p).
 PAIR_SUM_GRAPHS = [
     (name, g)
     for name, g in family_corpus()
     + random_corpus(100, 10)
     + PENDANT_GRAPHS
+    + DENSE_GRAPHS
     + [("gnp-40", _gnp(40, 0.5, 1)), ("gnp-30-sparse", _gnp(30, 0.12, 2))]
     if neighborhood_stats(g).v_double_prime
 ]
@@ -156,7 +162,31 @@ def test_pendant_graphs_have_v_double_prime_inside_v_prime():
 @pytest.mark.parametrize("name, g", PAIR_SUM_GRAPHS, ids=[name for name, _ in PAIR_SUM_GRAPHS])
 def test_pair_sum_matches_all_pairs(name, g):
     stats = neighborhood_stats(g)
-    assert _pair_sum(g, stats) == _pair_sum_all_pairs(g, stats)
+    assert _moments(g, stats)[1] == _pair_sum_all_pairs(g, stats)
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [
+        pytest.param(complete_graph(30), 2, id="K_30"),
+        pytest.param(biclique_graph(8, 8), 4, id="K_8,8"),
+        pytest.param(biclique_graph(7, 9), 6, id="K_7,9"),
+        pytest.param(cycle_graph(50), 4, id="C_50"),
+        pytest.param(cycle_graph(500), 4, id="C_500"),
+    ],
+)
+def test_alpha_runs_once_per_pair_type(g, calls, monkeypatch):
+    # Two calls (i = 0, 1) per local type of dependent pair, however many
+    # pairs share it.
+    seen = []
+
+    def counting_alpha(*args):
+        seen.append(args)
+        return alpha(*args)
+
+    monkeypatch.setattr(bounds, "alpha", counting_alpha)
+    assert bound_general(g).applicable
+    assert len(seen) == calls
 
 
 def test_alpha_matches_nested_loop():
@@ -610,7 +640,7 @@ def test_srg_pair_total_matches_pair_sum(name, g):
     first_non_neighbor = min(set(range(1, g.vertex_count)) - g.adjacency[0])
     assert (first_neighbor, first_non_neighbor) != (1, 2)
     stats = neighborhood_stats(g)
-    assert _srg_pair_total(g, stats, params.r) == _pair_sum(g, stats)
+    assert _srg_pair_total(g, stats, params.r) == _moments(g, stats)[1]
 
 
 def _corollary_mu(n: int, r: int) -> Fraction:

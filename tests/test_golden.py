@@ -132,6 +132,11 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "spectrum-grid3x7-csv": ("spectrum --input - --format csv", "grid3x7", 0, "0334002469b7c89e95243faae50df20801429d6116644c94d56aec4c9ef1b3bc"),
     "moments-input-chorded": ("moments --input -", "chorded", 0, "7f549f5dd404e0c36b44dcc50b80e42931ecdd2b787934b0925ce7c58a14eabd"),
     "bound-exact-chorded": ("bound --input - --exact", "chorded", 0, "ca0d402a743bd14aa8323985c5160c4cf79603314b0109fa80274476a541b131"),
+    # Dense graphs, where every V'' pair is dependent, and a long cycle.
+    "bound-auto-complete-40": ("bound --family complete --n 40", None, 0, "2f0d4d23c76f63b96e736e8a0f8f61a77542d450ce4cfe5cf9899b000705b443"),
+    "bound-auto-biclique-12x20": ("bound --family biclique --m 12 --n 20", None, 0, "7062b2502ae7a10a225c5f86086185036ef77591f363ceb4758c65c7b15c54d2"),
+    "bound-general-gnp18": ("bound --input - --variant general", "gnp18", 0, "3a6f56d043680982d5180ed5fd40ffd66fa86b0c608805334382bbbb08abecdf"),
+    "bound-general-cycle3000": ("bound --family cycle --n 3000 --variant general", None, 0, "fccb4bf27335b2dbb757c5657d452151e8a6b830e6ab9df6e859ef2d6a7e764a"),
     "spectrum-gnp18": ("spectrum --input -", "gnp18", 0, "e29b49f121083be5404620e243aa48e03ab32e14a10acd6b073f2609640ca2ff"),
     "enumerate-gnp18": ("enumerate --input -", "gnp18", 0, "4f2af99ff32b1cf5ba7221e4f8146b9c7d4e163f696e6573c3a8dce9924644c1"),
     # The ends of each family route: the smallest orders, the last order
