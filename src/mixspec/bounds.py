@@ -21,12 +21,13 @@ E[I_v I_w] = p_v p_w.  Only pairs within distance 2 need the joint
 probability ``alpha``, found by a two-hop walk from each V'' vertex, and
 ``_moments`` evaluates it on one pair per local type of pair.
 
-The oracle's ``census`` counts the 2^{|V'|} semi-random draws by the subset of
-V'' they integrate, testing each with ``graph.failing_vertices`` (reference:
-``is_integrated``); both oracles are sums over that one count.  Swapping both
-colors complements a draw and keeps its failing set, so the census walks only
-the half of the draws where the top vertex of V' is black and counts each
-twice.  ``verify`` takes one census per graph and hands it to both.
+The oracle's ``census`` tests all 2^{|V'|} semi-random draws at once with
+``graph.integrated_columns`` on truth-table columns (reference: the per-draw
+walks of the tests), keeping each V'' vertex's mask of the draws that
+integrate it; both oracles are popcounts of those masks and of their pairwise
+ANDs.  Swapping both colors complements a draw and keeps its failing set, so
+the census takes only the half of the draws where the top vertex of V' is
+black.  ``verify`` takes one census per graph and hands it to both.
 
 An isolated vertex lies in V' (it is not a pendant) and never in V'': it
 doubles 2^{|V'|} and the count alike, and leaves mu and sigma^2 unchanged, so
@@ -40,20 +41,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations
 from math import comb, isqrt
+from operator import and_
 
 from .graph import (
     Graph,
     NeighborhoodStats,
     detect_srg,
-    failing_vertices,
+    integrated_columns,
     is_connected,
     neighborhood_stats,
+    truth_columns,
 )
 
 ORACLE_CAP = 22
-Census = tuple[Counter[int], int]  # draw counts by integrated V'' mask, and the V'' mask
+Census = tuple[dict[int, int], int]  # each V'' vertex's integrated-draw mask, and the draw count
 
 
 class InapplicableError(ValueError):
@@ -299,14 +303,14 @@ class OracleMoments:
 
 
 def census(g: Graph) -> Census:
-    """Census of all 2^{|V'|} semi-random draws: ``counts[m]`` is the number of
-    draws whose integrated V'' vertices form the bitmask m.  Also returns the
-    V'' bitmask, so a draw integrates the whole graph exactly when m equals it.
-    Raises ``InapplicableError`` on a ``_rejection`` or when |V'| > ``ORACLE_CAP``.
+    """Each V'' vertex's mask of the semi-random draws that integrate it, in id
+    order, and the number of draws.  Raises ``InapplicableError`` on a
+    ``_rejection`` or when |V'| > ``ORACLE_CAP``, before any column is built.
 
-    Swapping both colors maps a draw to the draw on the complement of V' and
-    keeps its failing set, so only the draws where the top vertex of V' is black
-    are walked, each counted twice (``_rejection`` leaves V' non-empty).
+    Swapping both colors complements a draw and keeps its failing set, so only
+    the draws with the top vertex of V' black are taken (``_rejection`` leaves
+    V' non-empty): the rest of V' get ``truth_columns``, each pendant the
+    complement of its neighbour's column.
     """
     stats = neighborhood_stats(g)
     reason = _rejection(g)
@@ -316,26 +320,21 @@ def census(g: Graph) -> Census:
         raise InapplicableError(
             f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {ORACLE_CAP}"
         )
-    failing = failing_vertices(g)
-    vp = sum(1 << v for v in stats.v_prime)
-    vpp = sum(1 << v for v in stats.v_double_prime)
-    pendant_bits = [(1 << p, 1 << q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
-    walk = vp ^ (1 << (vp.bit_length() - 1))
-    counts: Counter[int] = Counter()
-    draw = 0
-    while True:
-        white = draw
-        for p, q in pendant_bits:  # each pendant takes the color opposite its neighbor
-            if not white & q:
-                white |= p
-        bad = failing(white)
-        if bad & ~vpp:
-            # Vertices outside V'' are always integrated by construction.
-            raise AssertionError("vertex outside V'' failed integration")
-        counts[vpp & ~bad] += 2
-        draw = (draw - walk) & walk  # the next subset of walk; 0 after the last
-        if not draw:
-            return counts, vpp
+    free = sorted(stats.v_prime)[:-1]
+    draws = 1 << len(free)
+    full = (1 << draws) - 1
+    columns = [0] * g.vertex_count
+    for v, column in zip(free, truth_columns(len(free))):
+        columns[v] = column
+    for p in stats.pendants:  # each pendant takes the color opposite its neighbor
+        (q,) = g.adjacency[p]
+        columns[p] = full ^ columns[q]
+    integrated = integrated_columns(g, columns, full)
+    vpp = stats.v_double_prime
+    if any(mask != full for v, mask in enumerate(integrated) if v not in vpp):
+        # Vertices outside V'' are always integrated by construction.
+        raise AssertionError("vertex outside V'' failed integration")
+    return {v: integrated[v] for v in sorted(vpp)}, draws
 
 
 _census = census  # the oracles' ``census`` parameter shadows the function
@@ -347,14 +346,19 @@ def semirandom_oracle(g: Graph, census: Census | None = None) -> OracleMoments:
     ``prob_integrated * 2^{|V'|}`` equals the number of integrated colorings
     exactly, because restriction to V' is a bijection between integrated
     colorings and integrated semi-random outcomes.  ``census``, if given, is
-    ``census(g)`` already taken, and is read instead of a new scan.
+    ``census(g)`` already taken, and is read instead of a new scan.  Ratios
+    over the census's half of the draws are those over all of them, since the
+    other half mirrors it.
     """
-    counts, vpp = census or _census(g)
-    total = sum(counts.values())
-    x_sum = sum(c * m.bit_count() for m, c in counts.items())
-    x2_sum = sum(c * m.bit_count() ** 2 for m, c in counts.items())
+    masks, draws = census or _census(g)
+    members = list(masks.values())
+    everywhere = reduce(and_, members, (1 << draws) - 1)
+    x_sum = sum(m.bit_count() for m in members)
+    pair_sum = sum((m & w).bit_count() for m, w in combinations(members, 2))
     return OracleMoments(
-        Fraction(counts[vpp], total), Fraction(x_sum, total), Fraction(x2_sum, total)
+        Fraction(everywhere.bit_count(), draws),
+        Fraction(x_sum, draws),
+        Fraction(x_sum + 2 * pair_sum, draws),
     )
 
 
@@ -362,13 +366,10 @@ def pair_joint_moments(g: Graph, census: Census | None = None) -> dict[tuple[int
     """Exact E[I_v I_w] for every unordered V'' pair, by the same capped
     exhaustion (or from ``census``, as in ``semirandom_oracle``).
     """
-    counts, vpp = census or _census(g)
-    total = sum(counts.values())
-    members = [v for v in range(g.vertex_count) if (vpp >> v) & 1]
-    holding = {v: [(m, c) for m, c in counts.items() if (m >> v) & 1] for v in members}
+    masks, draws = census or _census(g)
     return {
-        (v, w): Fraction(sum(c for m, c in holding[v] if (m >> w) & 1), total)
-        for v, w in combinations(members, 2)
+        (v, w): Fraction((masks[v] & masks[w]).bit_count(), draws)
+        for v, w in combinations(masks, 2)
     }
 
 

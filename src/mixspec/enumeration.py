@@ -13,8 +13,8 @@ runs the shared bitmask integration test ``graph.failing_vertices`` (Propp's
 local search runs it after each flip), so a pruning bug could cost time but
 never emit a wrong coloring.  ``mix_histogram`` searches only the colorings
 with vertex 0 black and doubles the counts, since swapping the colors is a
-bijection that keeps every mix.  ``max_cut`` walks the 2^(n-1) splits in
-Gray-code order (``_gray_cuts``).
+bijection that keeps every mix.  ``max_cut`` takes all 2^(n-1) splits at
+once on truth-table columns, their cut sizes in bit-sliced planes.
 
 ``exact_histogram`` gives the same histogram as ``mix_histogram`` from the
 cheapest engine that applies: the closed forms for complete graphs and
@@ -37,7 +37,16 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator
 
-from .graph import BLACK, WHITE, Coloring, Graph, adjacency_masks, failing_vertices
+from .graph import (
+    BLACK,
+    WHITE,
+    Coloring,
+    Graph,
+    adjacency_masks,
+    bit_sliced_sum,
+    failing_vertices,
+    truth_columns,
+)
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -393,32 +402,30 @@ def _frontier_counts(g: Graph, order: list[int]) -> dict[int, int]:
     return counts
 
 
-def _gray_cuts(g: Graph) -> Iterator[tuple[int, int]]:
-    """Yield ``(white_mask, cut)`` for every split with vertex n-1 black.
+def _max_cut_splits(g: Graph) -> tuple[int, int, list[int]]:
+    """The max-cut size, the mask of the splits that reach it, and the splits'
+    columns (bit d of ``columns[v]`` is set when split d puts v white).
 
-    Complement splits give the same cut, so fixing one vertex halves the
-    walk.  Masks come in Gray-code order: flipping v turns its ``same``
-    same-colored edges into cut edges and its other edges into uncut ones.
+    Complement splits cut the same edges, so the 2^(n-1) splits keep vertex
+    n-1 black.  The edges' difference columns are summed into bit-sliced
+    planes of each split's cut size; from the top plane down, the splits kept
+    are those with the plane's bit set, whenever any are.
     """
-    adj = adjacency_masks(g)
-    deg = [len(nbrs) for nbrs in g.adjacency]
-    white = cut = 0
-    yield white, cut
-    for i in range(1, 1 << max(g.vertex_count - 1, 0)):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        same = (adj[v] & (white if white & bit else ~white)).bit_count()
-        cut += 2 * same - deg[v]
-        white ^= bit
-        yield white, cut
+    _check_cap(g.vertex_count, None)
+    n = g.vertex_count
+    columns = truth_columns(n - 1) + [0] if n else []
+    planes = bit_sliced_sum(columns[u] ^ columns[v] for u, v in g.edges())
+    best, splits = 0, (1 << (1 << max(n - 1, 0))) - 1
+    for i in reversed(range(len(planes))):
+        if top := splits & planes[i]:
+            best, splits = best | 1 << i, top
+    return best, splits, columns
 
 
 def max_cut(g: Graph) -> int:
     """Exact max-cut size by exhausting all 2^(n-1) splits."""
     _check_cap(g.vertex_count, None)
-    if g.edge_count == 0:
-        return 0
-    return max(cut for _, cut in _gray_cuts(g))
+    return _max_cut_splits(g)[0] if g.edge_count else 0
 
 
 def propp_local_search(g: Graph, start: Coloring) -> tuple[Coloring, int]:

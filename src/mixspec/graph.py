@@ -4,8 +4,10 @@ A coloring assigns one of two colors to every vertex.  An edge is balanced
 when its endpoints differ; the mixing number of a vertex counts its balanced
 incident edges, and a vertex is integrated when at least half of its incident
 edges are balanced.  These are the primitives everything else builds on.
-The fast paths test integration on bitmasks with one kernel,
-``failing_vertices``; the set-based ``is_integrated`` is its reference.
+``failing_vertices`` tests one coloring on bitmasks; ``integrated_columns``
+tests every assignment of an exhaustive walk at once, on truth-table columns
+(bit d of a vertex's column is its color in assignment d) with bit-sliced
+neighbour counts.  The set-based ``is_integrated`` is the reference for both.
 """
 
 from __future__ import annotations
@@ -159,6 +161,52 @@ def failing_vertices(g: Graph) -> Callable[[int], int]:
         return bad
 
     return failing
+
+
+def truth_columns(k: int) -> list[int]:
+    """The 2^k assignments of k bits as columns: bit d of column i is bit i of d."""
+    columns: list[int] = []
+    size = 1
+    for _ in range(k):
+        columns = [c | c << size for c in columns]
+        columns.append(((1 << size) - 1) << size)
+        size <<= 1
+    return columns
+
+
+def bit_sliced_sum(columns: Iterable[int]) -> list[int]:
+    """Planes of the column sum: bit d of plane i is bit i of how many columns
+    have bit d set."""
+    planes: list[int] = []
+    for carry in columns:
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(0)
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+    return planes
+
+
+def integrated_columns(g: Graph, columns: list[int], full: int) -> list[int]:
+    """Every assignment's integration test at once, on truth-table columns.
+
+    Bit d of ``columns[v]`` is v's color in assignment d, and ``full`` has a
+    bit per assignment to test.  On those bits, bit d of entry v of the result
+    is set when v is integrated in assignment d: at least ceil(deg/2) of its
+    neighbours' colors differ from its own, i.e. at most floor(deg/2) match.
+    """
+    integrated = []
+    for v, nbrs in enumerate(g.adjacency):
+        planes = bit_sliced_sum(columns[v] ^ columns[w] for w in nbrs)
+        need = (len(nbrs) + 1) // 2
+        # After step i, bit d is set where the count's bits 0..i read >= need's.
+        at_least = full
+        for i in range(max(len(planes), need.bit_length())):
+            plane = planes[i] if i < len(planes) else 0
+            at_least = plane & at_least if need >> i & 1 else plane | at_least
+        integrated.append(at_least)
+    return integrated
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import families, genfunc
 from .corpus import standard_corpus
 from .enumeration import (
-    _gray_cuts,
+    _max_cut_splits,
     enumerate_integrated,
     max_cut,
     mix_histogram,
@@ -30,7 +30,7 @@ from .graph import (
     biclique_graph,
     complete_graph,
     cycle_graph,
-    failing_vertices,
+    integrated_columns,
     is_integrated,
     mix_of_coloring,
     neighborhood_stats,
@@ -284,8 +284,8 @@ def check_extremal_inequalities(corpus: tuple[tuple, ...]) -> CheckResult:
             failures.append(f"{name}: spectrum maximum below the square-root cut bound")
         if ext.edwards_erdos is not None and Fraction(hist.ims_max) < ext.edwards_erdos:
             failures.append(f"{name}: spectrum maximum below the connected cut bound")
-        failing = failing_vertices(g)
-        if any(size == cut and failing(white) for white, size in _gray_cuts(g)):
+        _, splits, columns = _max_cut_splits(g)  # the kernel tests these splits alone
+        if any(splits & ~mask for mask in integrated_columns(g, columns, splits)):
             failures.append(f"{name}: a maximum-cut coloring is not integrated")
     return _result("extremal-inequalities", failures, "spectrum bounds on the corpus")
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 from hypothesis import strategies as st
 
+from mixspec import bounds, enumeration, graph
 from mixspec.graph import BLACK, WHITE, Graph, build_graph
 
 
@@ -24,3 +28,33 @@ def graph_with_coloring(draw, max_vertices: int = 8):
         )
     )
     return g, tuple(colors)
+
+
+# One-line mutants of the column kernel and its users: (module, source, mutated
+# source).  Each must fail a reference that the unmutated code passes.
+KERNEL_MUTANTS = {
+    "strict-compare": (graph, "at_least = full\n", "at_least = 0\n"),
+    "carry-dropped": (graph, "planes.append(0)", "break"),
+    "pendant-uncomplemented": (bounds, "columns[p] = full ^ columns[q]", "columns[p] = columns[q]"),
+    "scan-keeps-wrong-half": (enumeration, "splits & planes[i]", "splits & ~planes[i]"),
+}
+
+
+def install_mutant(monkeypatch, mutant: str) -> None:
+    """Rebind, wherever a mixspec module binds one, each function of the
+    mutant's module to its copy compiled from the mutated source.  The copies
+    share the module's classes and constants, and call each other."""
+    module, old, new = KERNEL_MUTANTS[mutant]
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    own = {name for name, value in vars(module).items()
+           if inspect.isfunction(value) and value.__module__ == module.__name__}
+    namespace.update((name, value) for name, value in vars(module).items() if name not in own)
+    copies = {id(getattr(module, name)): namespace[name] for name in own}
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name == "mixspec" or module_name.startswith("mixspec."):
+            for attr, value in list(vars(loaded).items()):
+                if id(value) in copies:
+                    monkeypatch.setattr(loaded, attr, copies[id(value)])

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2
 
+from mixspec import verify
 from mixspec.bounds import bound_general, bound_specialized, extremal_bounds, semirandom_oracle
 from mixspec.corpus import standard_corpus
 from mixspec.enumeration import enumerate_integrated, max_cut, mix_histogram, propp_local_search
@@ -57,6 +58,8 @@ from mixspec.graph import (
     mix_of_coloring,
     path_graph,
 )
+
+from conftest import install_mutant
 
 SAMPLES_PER_INSTANCE = 100_000
 CHI_SQUARE_ALPHA = 1e-3
@@ -328,6 +331,20 @@ def _max_cut_colorings_all_integrated(g, cut) -> bool:
             if not is_integrated(g, coloring)[0]:
                 return False
     return True
+
+
+@pytest.mark.parametrize("mutant", ["strict-compare", "carry-dropped", "scan-keeps-wrong-half"])
+def test_kernel_mutants_fail_the_max_cut_coloring_reference(monkeypatch, mutant):
+    # verify's check reports a maximum-cut coloring that is not integrated on
+    # a graph where the reference finds every one integrated.
+    install_mutant(monkeypatch, mutant)
+    flagged = []
+    for name, g in standard_corpus(20):
+        hist = mix_histogram(g)
+        detail = verify.check_extremal_inequalities(((name, g, None, hist, None),)).detail
+        if detail.endswith("a maximum-cut coloring is not integrated"):
+            flagged.append(_max_cut_colorings_all_integrated(g, hist.ims_max))
+    assert any(flagged)
 
 
 def test_criterion_10_propp(capsys, corpus):

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from mixspec.graph import (
     petersen_graph,
 )
 
-from conftest import graphs
+from conftest import graphs, install_mutant
 
 
 def test_alpha_square_adjacent():
@@ -453,8 +454,10 @@ def _outcome(fn, g):
         return type(exc), str(exc)
 
 
-def _census_full_walk(g):
-    """Reference census: every subset of V' walked once, each draw counted once."""
+def _census_per_draw(g):
+    """Reference census: one ``failing_vertices`` call per draw with the top
+    vertex of V' black, draw d coloring the i-th other vertex of V' white when
+    bit i of d is set, and each V'' vertex's mask built bit by bit."""
     stats = neighborhood_stats(g)
     reason = _rejection(g)
     if reason is not None:
@@ -464,29 +467,27 @@ def _census_full_walk(g):
             f"|V'| = {len(stats.v_prime)} exceeds the oracle cap {bounds.ORACLE_CAP}"
         )
     failing = failing_vertices(g)
-    vp = sum(1 << v for v in stats.v_prime)
-    vpp = sum(1 << v for v in stats.v_double_prime)
-    pendant_bits = [(1 << p, 1 << q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
-    counts = Counter()
-    draw = 0
-    while True:
-        white = draw
-        for p, q in pendant_bits:
-            if not white & q:
-                white |= p
+    free = sorted(stats.v_prime)[:-1]
+    pendant_pairs = [(p, q) for p in sorted(stats.pendants) for q in g.adjacency[p]]
+    masks = {v: 0 for v in sorted(stats.v_double_prime)}
+    for draw in range(1 << len(free)):
+        white = sum(1 << v for i, v in enumerate(free) if (draw >> i) & 1)
+        for p, q in pendant_pairs:
+            if not (white >> q) & 1:
+                white |= 1 << p
         bad = failing(white)
-        if bad & ~vpp:
-            raise AssertionError("vertex outside V'' failed integration")
-        counts[vpp & ~bad] += 1
-        draw = (draw - vp) & vp
-        if not draw:
-            return counts, vpp
+        for v in range(g.vertex_count):
+            if (bad >> v) & 1 and v not in masks:
+                raise AssertionError("vertex outside V'' failed integration")
+        for v in masks:
+            if not (bad >> v) & 1:
+                masks[v] |= 1 << draw
+    return masks, 1 << len(free)
 
 
 def _assert_oracles_match_scan(g):
-    # The census walks half the draws and counts each twice; the full walk
-    # must give the same counts, not only the same ratios.
-    assert _outcome(census, g) == _outcome(_census_full_walk, g)
+    # The census and the per-draw walk must give the same masks, bit for bit.
+    assert _outcome(census, g) == _outcome(_census_per_draw, g)
     assert _outcome(semirandom_oracle, g) == _outcome(_oracle_reference, g)
     got = _outcome(pair_joint_moments, g)
     want = _outcome(_pair_reference, g)
@@ -542,8 +543,8 @@ def test_oracles_cap_like_reference_scan(monkeypatch):
 def test_oracle_cap_is_inclusive(monkeypatch):
     # |V'| equal to the cap is answered; one more vertex is refused.
     monkeypatch.setattr(bounds, "ORACLE_CAP", 5)
-    counts, _ = census(cycle_graph(5))
-    assert sum(counts.values()) == 2**5
+    _, draws = census(cycle_graph(5))
+    assert 2 * draws == 2**5
     with pytest.raises(InapplicableError, match=r"^\|V'\| = 6 exceeds the oracle cap 5$"):
         census(cycle_graph(6))
 
@@ -561,6 +562,50 @@ def test_oracle_guard_outside_v_double_prime(monkeypatch):
     monkeypatch.setattr(bounds, "neighborhood_stats", shrunk)
     with pytest.raises(AssertionError, match="outside V''"):
         semirandom_oracle(cycle_graph(4))
+
+
+def test_oracle_at_the_cap_matches_bound_general():
+    # |V'| = 22: 2^21 draws, out of reach of a per-draw walk in these tests.
+    g = _gnp(22, 0.3, 0)
+    assert len(neighborhood_stats(g).v_prime) == bounds.ORACLE_CAP
+    oracle = semirandom_oracle(g)
+    report = bound_general(g)
+    assert (oracle.ex, oracle.ex2 - oracle.ex**2) == (report.mu, report.sigma_sq)
+
+
+def test_oracle_refuses_past_the_cap_before_building_columns(monkeypatch):
+    def no_columns(k):
+        raise AssertionError("columns built past the cap")
+
+    monkeypatch.setattr(bounds, "truth_columns", no_columns)
+    message = r"^\|V'\| = 23 exceeds the oracle cap 22$"
+    for oracle in (census, semirandom_oracle, pair_joint_moments):
+        with pytest.raises(InapplicableError, match=message):
+            oracle(cycle_graph(23))
+
+
+def test_census_holds_only_masks():
+    # One 2^15-bit mask per V'' vertex: 64 KiB.  A count per integrated subset
+    # of V'' takes about 1 MB on this graph.
+    g = next(h for seed in range(100) if (h := _gnp(16, 0.5, seed)).min_degree() >= 2)
+    tracemalloc.start()
+    try:
+        held = census(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held[0]) == 16
+    assert peak < 256 << 10
+
+
+@pytest.mark.parametrize("mutant", ["strict-compare", "carry-dropped", "pendant-uncomplemented"])
+def test_kernel_mutants_fail_the_reference_scans(monkeypatch, mutant):
+    install_mutant(monkeypatch, mutant)
+    applicable = [g for _, g in ORACLE_GRAPHS if _rejection(g) is None]
+    assert any(_outcome(bounds.census, g) != _outcome(_census_per_draw, g) for g in applicable)
+    assert any(
+        _outcome(bounds.semirandom_oracle, g) != _outcome(_oracle_reference, g) for g in applicable
+    )
 
 
 def test_pair_joint_moments_square():

@@ -11,6 +11,7 @@ from mixspec import enumeration, graph
 from mixspec.corpus import standard_corpus
 from mixspec.enumeration import (
     CapExceededError,
+    _max_cut_splits,
     _search,
     enumerate_integrated,
     max_cut,
@@ -33,7 +34,7 @@ from mixspec.graph import (
     petersen_graph,
 )
 
-from conftest import graphs
+from conftest import graphs, install_mutant
 
 
 def brute_force_integrated(g):
@@ -261,15 +262,73 @@ def test_histogram_matches_recount(g):
     assert mix_histogram(g).counts == dict(expected)
 
 
-@given(graphs(max_vertices=9))
-@settings(max_examples=60, deadline=None)
-def test_max_cut_matches_brute_force(g):
+def _brute_force_max_cut(g):
     edges = g.edges()
-    best = max(
+    return max(
         sum(c[u] != c[v] for u, v in edges)
         for c in itertools.product((BLACK, WHITE), repeat=g.vertex_count)
     )
-    assert max_cut(g) == best
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=60, deadline=None)
+def test_max_cut_matches_brute_force(g):
+    assert max_cut(g) == _brute_force_max_cut(g)
+
+
+def _gray_cuts(g):
+    """Yield ``(white_mask, cut)`` for every split with vertex n-1 black, in
+    Gray-code order: flipping v turns its same-colored edges into cut edges
+    and its other edges into uncut ones."""
+    adj = adjacency_masks(g)
+    white = cut = 0
+    yield white, cut
+    for i in range(1, 1 << max(g.vertex_count - 1, 0)):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        same = (adj[v] & (white if white & bit else ~white)).bit_count()
+        cut += 2 * same - g.degree(v)
+        white ^= bit
+        yield white, cut
+
+
+def _assert_max_cut_splits_match_gray_walk(g):
+    # Split d puts vertex v white when bit v of d is set.
+    walk_best, walk_splits = -1, 0
+    for white, cut in _gray_cuts(g):
+        if cut > walk_best:
+            walk_best, walk_splits = cut, 0
+        if cut == walk_best:
+            walk_splits |= 1 << white
+    assert _max_cut_splits(g)[:2] == (walk_best, walk_splits)
+    assert max_cut(g) == walk_best
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=60, deadline=None)
+def test_max_cut_splits_match_gray_walk(g):
+    _assert_max_cut_splits_match_gray_walk(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_max_cut_matches_gray_walk_on_dense_graphs(seed):
+    _assert_max_cut_splits_match_gray_walk(gnp(20, 0.5, seed))
+
+
+def test_max_cut_refuses_past_the_cap_before_building_columns(monkeypatch):
+    def no_columns(k):
+        raise AssertionError("columns built past the cap")
+
+    monkeypatch.setattr(enumeration, "truth_columns", no_columns)
+    with pytest.raises(CapExceededError, match="30 vertices"):
+        max_cut(cycle_graph(30))
+
+
+@pytest.mark.parametrize("mutant", ["carry-dropped", "scan-keeps-wrong-half"])
+def test_max_cut_mutants_fail_the_brute_force(monkeypatch, mutant):
+    install_mutant(monkeypatch, mutant)
+    graphs = [g for _, g in standard_corpus(20) if g.vertex_count <= 9]
+    assert any(enumeration.max_cut(g) != _brute_force_max_cut(g) for g in graphs)
 
 
 @given(graphs(max_vertices=7))
