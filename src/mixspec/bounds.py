@@ -39,12 +39,12 @@ All arithmetic is exact rational.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
 from math import comb, isqrt
 from operator import and_
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -153,8 +153,7 @@ def _scaled(x: Fraction, bits: int) -> int:
     return x.numerator << (bits + 1 - x.denominator.bit_length())
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one upper-bound computation.
 
     ``upper_bound`` is on the 2^{|V'|} scale of the whole input graph (any
@@ -293,8 +292,7 @@ def _srg_pair_total(g: Graph, stats: NeighborhoodStats, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleMoments:
+class OracleMoments(NamedTuple):
     """Exact semi-random statistics: Pr[integrated], E[X], E[X^2]."""
 
     prob_integrated: Fraction
@@ -378,8 +376,7 @@ def pair_joint_moments(g: Graph, census: Census | None = None) -> dict[tuple[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalBounds:
+class ExtremalBounds(NamedTuple):
     """Lower bounds: |E|/2 for the spectrum minimum, the max-cut bounds for
     its maximum (the additive form only applies to connected graphs)."""
 

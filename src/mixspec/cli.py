@@ -6,10 +6,11 @@ Graphs come either from ``--input <edge-list>`` ('-' for stdin) or from
 with ``--m``, petersen).  Output is deterministic: identical invocations
 produce byte-identical reports.
 
-This module alone encodes results: the library returns dataclasses of
-exact ``Fraction``s and integers, and only the encoders here write them as
-JSON (each rational as ``{"num", "den"}`` strings) or CSV.  A bound's
-``upper_bound_decimal`` is its nearest double, or null beyond the double range.
+This module alone encodes results: the library returns immutable
+``NamedTuple``s of exact ``Fraction``s and integers, and only the encoders
+here write them as JSON (each rational as ``{"num", "den"}`` strings) or CSV.
+A bound's ``upper_bound_decimal`` is its nearest double, or null beyond the
+double range.
 
 Exit codes: 0 success (also when the reader of stdout closes the pipe
 early), 1 failed verification checks, 2 malformed input or flags, 3 command

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import (
     BLACK,
@@ -151,8 +150,7 @@ def enumerate_integrated(g: Graph, cap: int | None = None) -> Iterator[Coloring]
         yield coloring
 
 
-@dataclass(frozen=True)
-class MixHistogram:
+class MixHistogram(NamedTuple):
     """Exact distribution of mixing numbers over all integrated colorings.
 
     ``counts`` maps each realized mix, ascending, to its number of colorings,

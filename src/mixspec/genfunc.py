@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
 
 
-@dataclass(frozen=True)
-class UPoly:
+class UPoly(NamedTuple):
     """Dense polynomial in the edge-marking variable u with integer coefficients."""
 
     coeffs: tuple[int, ...]
@@ -81,7 +80,10 @@ def path_gf_coeffs(max_n: int) -> list[UPoly]:
     table = [[2], [0, 2], [0, 0, 2]]
     while len(table) < max_n:
         table.append(_shift(_add(table[-1], table[-2]), 1))
-    return [UPoly.of(p) for p in table[:max_n]]
+    del table[max_n:]
+    for i, coeffs in enumerate(table):  # in place: no second copy of the table
+        table[i] = UPoly.of(coeffs)
+    return table
 
 
 def path_gf_coeff(n: int) -> UPoly:
@@ -108,7 +110,10 @@ def cycle_gf_coeffs(max_n: int) -> list[UPoly]:
     while len(table) + 1 < max_n:
         back2, back3, back4 = table[-2], table[-3], table[-4]
         table.append(_shift(_add(back2, back3, back3, back4), 2))
-    return [UPoly.of(p) for p in table[: max_n - 1]]
+    del table[max_n - 1:]
+    for i, coeffs in enumerate(table):
+        table[i] = UPoly.of(coeffs)
+    return table
 
 
 def cycle_gf_coeff(n: int) -> UPoly:
@@ -217,8 +222,7 @@ def amplitude(u: float) -> float:
     return GOLDEN_RATIO * math.sqrt(5.0) * z1 * z2 * (1.0 - u * z1 * z1) / (z1 + z2)
 
 
-@dataclass(frozen=True)
-class ModelCheckReport:
+class ModelCheckReport(NamedTuple):
     """Finite-difference measurements of the asymptotic model at u = 1."""
 
     a_at_one: float
@@ -263,8 +267,7 @@ def asymptotic_model_check() -> ModelCheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CltReport:
+class CltReport(NamedTuple):
     """Exact moments of one family instance and their Gaussian diagnostics."""
 
     family: str

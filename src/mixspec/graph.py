@@ -13,8 +13,7 @@ neighbour counts.  The set-based ``is_integrated`` is the reference for both.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 BLACK = 0
 WHITE = 1
@@ -27,8 +26,7 @@ class SelfLoopError(ValueError):
     """Raised when an edge joins a vertex to itself."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Finite simple graph with dense 0-based vertex ids.
 
     ``adjacency[v]`` is the frozen set of neighbors of ``v``.  Instances are
@@ -214,8 +212,7 @@ def integrated_columns(g: Graph, columns: list[int], full: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NeighborhoodStats:
+class NeighborhoodStats(NamedTuple):
     """Pendant/non-pendant structure of a graph.
 
     ``v_prime`` is the set of non-pendant vertices, ``lam[v]`` counts the
@@ -238,8 +235,7 @@ def neighborhood_stats(g: Graph) -> NeighborhoodStats:
     return NeighborhoodStats(pendants, v_prime, v_double_prime, lam)
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Parameters (n, r, lambda, lambda') of a strongly regular graph."""
 
     n: int
@@ -254,12 +250,13 @@ def detect_srg(g: Graph) -> SrgParams | None:
     Returns parameters only when the graph is regular, every adjacent pair
     shares the same number of common neighbors, and every non-adjacent pair
     likewise.  Both pair classes must be non-empty so that both counts are
-    witnessed; complete and edgeless graphs therefore return None.
+    witnessed; complete and edgeless graphs therefore return None, before
+    the scan, since their degree 0 or n - 1 leaves a single pair class.
     """
     r = g.is_regular()
-    if r is None:
-        return None
     n = g.vertex_count
+    if r is None or r in (0, n - 1):
+        return None
     common_by_class: dict[bool, int] = {}  # adjacency -> common neighbors first seen
     for v in range(n):
         for w in range(v + 1, n):

@@ -1,14 +1,17 @@
 """The traced bench wraps library functions by name (``bench/layers.py``);
 each name must still exist, so a rename or an inline fails here rather than
-in a traced run.  The count layers that ``layers.EXPECTED`` requires must also
-still be fed: a request that stops reaching the function a count is read from
-leaves that layer at zero, and the traced run then fails."""
+in a traced run, and its module must be loaded by ``import mixspec.cli``.
+The count layers that ``layers.EXPECTED`` requires must also still be fed: a
+request that stops reaching the function a count is read from leaves that
+layer at zero, and the traced run then fails."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,8 +19,8 @@ import pytest
 
 from mixspec.cli import main
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_layers", Path(__file__).resolve().parents[1] / "bench" / "layers.py")
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
 layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layers)
 
@@ -30,6 +33,20 @@ def _resolve(name: str):
 @pytest.mark.parametrize("name", sorted(layers.TIMED))
 def test_timed_name_is_a_callable(name):
     assert callable(_resolve(name)), name
+
+
+def test_cli_import_loads_every_timed_module_and_no_dataclasses():
+    # The traced child wraps the TIMED names right after ``import mixspec.cli``,
+    # so their modules must be loaded by then.  The records are NamedTuples:
+    # ``dataclasses`` and the ``inspect`` it imports would only slow each start.
+    script = ("import sys; before = set(sys.modules); import mixspec.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {f"mixspec.{name.split('.')[0]}" for name in layers.TIMED} <= loaded
 
 
 @pytest.mark.parametrize("name", layers.GENERATORS)

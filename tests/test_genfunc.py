@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,20 @@ def test_single_rows_equal_the_recurrence_tables():
         assert path_gf_coeff(n) == paths[n - 1], n
     for n in range(2, 401):
         assert cycle_gf_coeff(n) == cycles[n - 2], n
+
+
+@pytest.mark.parametrize("table", [path_gf_coeffs, cycle_gf_coeffs])
+def test_tables_peak_at_their_retained_size(table):
+    # Each coefficient list gives way to its row as the row is made; a table
+    # that kept both copies would peak about a fifth above what it returns.
+    tracemalloc.start()
+    try:
+        rows = table(1000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) >= 999
+    assert peak <= 1.05 * retained
 
 
 def test_single_rows_reject_orders_below_the_family_range():

@@ -8,6 +8,7 @@ from hypothesis import given
 from mixspec.graph import (
     BLACK,
     WHITE,
+    Graph,
     SelfLoopError,
     SrgParams,
     build_graph,
@@ -172,6 +173,17 @@ def test_detect_srg():
     assert detect_srg(build_graph([], 3)) is None
     assert build_graph([], 0).is_regular() is None
     assert detect_srg(build_graph([], 0)) is None
+
+
+def test_detect_srg_skips_the_pair_scan_with_one_pair_class(monkeypatch):
+    calls = []
+    real = Graph.mutual_degree
+    monkeypatch.setattr(Graph, "mutual_degree", lambda g, v, w: calls.append((v, w)) or real(g, v, w))
+    assert detect_srg(complete_graph(50)) is None
+    assert detect_srg(build_graph([], 50)) is None
+    assert calls == []
+    assert detect_srg(petersen_graph()) == SrgParams(10, 3, 0, 1)
+    assert len(calls) == 45
 
 
 def test_srg_feasibility_identity():
