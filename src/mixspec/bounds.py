@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, isqrt
 from operator import and_
 from typing import NamedTuple
@@ -74,40 +74,41 @@ def alpha(g: Graph, stats: NeighborhoodStats, v: int, w: int, i: int, j: int) ->
         sum C(lvw, a) C(lv - lvw - j, b) C(lw - lvw - j, c) / 2^(lv+lw-lvw-2j)
 
     restricted to a + b >= lv - deg(v)/2 - ij and
-    i*lvw + (-1)^i a + c >= lw - deg(w)/2 - ij.
+    i*lvw + (-1)^i a + c >= lw - deg(w)/2 - ij: the least b and c step by -1
+    and -(-1)^i per a, and the sums over b and c are tails of binomials.
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("i and j must be 0 or 1")
     if v == w:
         raise ValueError("need two distinct vertices")
-    if v not in stats.v_double_prime or w not in stats.v_double_prime:
+    vpp, nv, nw = stats.v_double_prime, g.adjacency[v], g.adjacency[w]
+    if v not in vpp or w not in vpp:
         raise InapplicableError("both vertices must lie in V''")
-    if j != int(g.has_edge(v, w)):
+    if j != (w in nv):
         raise ValueError("j must match the actual adjacency of the pair")
-    lv, lw = stats.lam[v], stats.lam[w]
-    lvw = g.mutual_degree(v, w)
-    b_top = lv - lvw - j
-    c_top = lw - lvw - j
-    # Thresholds doubled to stay in integers: x >= t/2  <=>  2x >= t.
-    t_v = 2 * lv - g.degree(v) - 2 * i * j
-    t_w = 2 * lw - g.degree(w) - 2 * i * j
-    sign = -1 if i else 1
-    base_w = 2 * i * lvw
+    lv, lw, lvw = stats.lam[v], stats.lam[w], len(nv & nw)
+    b_top, c_top = lv - lvw - j, lw - lvw - j
+    # The least b and c at a = 0: x >= t - deg/2  <=>  x >= t - floor(deg/2).
+    b_min, c_min = lv - i * j - len(nv) // 2, lw - i * (j + lvw) - len(nw) // 2
+    step = 1 if i else -1
     b_tail = _tail_sums(b_top)
-    c_tail = _tail_sums(c_top)
+    c_tail = b_tail if c_top == b_top else _tail_sums(c_top)
     total = 0
     for a in range(lvw + 1):
-        # 2(a + b) >= t_v  and  2c >= t_w - base_w - 2*sign*a
-        b_min = max(0, (t_v - 2 * a + 1) // 2)
-        c_min = max(0, (t_w - base_w - 2 * sign * a + 1) // 2)
         if b_min <= b_top and c_min <= c_top:
-            total += comb(lvw, a) * b_tail[b_min] * c_tail[c_min]
+            b_sum = b_tail[b_min if b_min > 0 else 0]
+            total += comb(lvw, a) * b_sum * c_tail[c_min if c_min > 0 else 0]
+        b_min -= 1
+        c_min += step
     return Fraction(total, 1 << (lv + lw - lvw - 2 * j))
 
 
 def _tail_sums(top: int) -> list[int]:
-    """``tail[k]`` = sum of C(top, x) over x >= k, for k = 0..top."""
-    return list(accumulate(comb(top, k) for k in range(top, -1, -1)))[::-1]
+    """``tail[k]`` = sum of C(top, x) over x >= k: 2^top less those below k."""
+    tail = [1 << top]
+    for k in range(top):
+        tail.append(tail[-1] - comb(top, k))
+    return tail
 
 
 def _moments(g: Graph, stats: NeighborhoodStats) -> tuple[Fraction, Fraction]:

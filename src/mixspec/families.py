@@ -365,25 +365,23 @@ def necklace_enumerate(n: int) -> Iterator[Coloring]:
     Every integrated ring coloring decomposes uniquely into a cyclic chain of
     the four wire pieces.  The enumeration fixes the piece that covers vertex 0
     together with the offset of vertex 0 inside it (which also captures both
-    phases and both global colors), then fills the rest linearly: the chain's
-    color word, rotated left by the offset, is the coloring.  The result is
-    set-equal to ``enumerate_integrated`` on the same ring.
+    phases and both global colors), then fills the rest depth first from a
+    stack of O(n) pending chains, down to a table of the 44 tilings of at
+    most 8 vertices; each word, rotated left by the offset, is a coloring.
     """
     _check_cap(n, None)
     if n < 2:
         raise ValueError("rings start at two vertices")
-
-    def linear_tilings(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for piece in WIRE_PIECES:
-            if len(piece) <= remaining:
-                for rest in linear_tilings(remaining - len(piece)):
-                    yield piece + rest
-
-    for first in WIRE_PIECES:
+    ends = [[()], []]  # ends[r]: the tilings of r vertices, depth first
+    for r in range(2, 9):
+        ends.append([p + e for p in WIRE_PIECES if len(p) <= r for e in ends[r - len(p)]])
+    for first in (p for p in WIRE_PIECES if len(p) <= n):
         for offset in range(len(first)):
-            for rest in linear_tilings(n - len(first)):
-                word = first + rest
-                yield word[offset:] + word[:offset]
+            rows = [[e + first[:offset] for e in row] for row in ends]
+            stack = [(first[offset:], n - len(first))]
+            while stack:
+                middle, r = stack.pop()
+                if r > 8:
+                    stack += [(middle + p, r - len(p)) for p in reversed(WIRE_PIECES)]
+                else:
+                    yield from map(middle.__add__, rows[r])

@@ -27,6 +27,7 @@ from .enumeration import (
 from .graph import (
     BLACK,
     WHITE,
+    Graph,
     biclique_graph,
     complete_graph,
     cycle_graph,
@@ -83,26 +84,35 @@ def check_paths(max_n: int) -> CheckResult:
     return _result("paths", failures, f"orders 1..{max_n}")
 
 
+def _ring_mixes(g: Graph, found: bytearray) -> Counter:
+    """Count the mixes of the colorings packed n bytes each in ``found``: below 256
+    edges, the edge XORs of columns ``found[p::n]`` sum each mix in its own byte."""
+    n = g.vertex_count
+    columns = [int.from_bytes(found[p::n], "little") for p in range(n)]
+    lanes = sum(columns[u] ^ columns[w] for u, w in g.edges())
+    return Counter(lanes.to_bytes(len(found) // n, "little"))
+
+
 def check_cycles(max_n: int) -> CheckResult:
+    """C_3..C_max_n against the ring count, the mix law and the wire-piece
+    tilings.  The search's colorings, packed in order, are counted by mix at
+    once and compared with the sorted tilings: no repeat, loss or extra hides."""
     failures = []
     for n in range(3, max_n + 1):
         g = cycle_graph(n)
-        # One pass over the search: each coloring's set-based mix is counted
-        # and only its packed bytes are kept, so no tuple outlives its step.
-        mixes = Counter()
-        packed = []
+        found = bytearray()
         for c in enumerate_integrated(g):
-            mixes[mix_of_coloring(g, c)] += 1
-            packed.append(bytes(c))
-        if len(packed) != families.ic_cycle(n):
-            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {len(packed)}")
-        if families.cycle_pmf(n).counts != mixes:
+            found += bytes(c)
+        if len(found) != n * families.ic_cycle(n):
+            failures.append(f"C_{n}: count {families.ic_cycle(n)} vs enumerated {len(found) // n}")
+        if families.cycle_pmf(n).counts != _ring_mixes(g, found):
             failures.append(f"C_{n}: pmf mismatch")
-        # Equal sorted lists are equal multisets: a coloring repeated,
-        # missing or extra in either source shows.
-        packed.sort()
-        if sorted(map(bytes, families.necklace_enumerate(n))) != packed:
+        tiles = sorted(map(bytes, families.necklace_enumerate(n)))
+        chunks = range(0, len(tiles), 256)  # a join holds a buffer record per word
+        if len(tiles) * n != len(found) or any(
+                b"".join(tiles[k : k + 256]) != found[k * n : (k + 256) * n] for k in chunks):
             failures.append(f"C_{n}: necklace tiling disagrees with enumeration")
+        del tiles  # not held through the next ring's search
     return _result("cycles", failures, f"orders 3..{max_n}")
 
 
@@ -242,12 +252,13 @@ def check_alpha_pairs(corpus: tuple[tuple, ...]) -> CheckResult:
         stats = neighborhood_stats(g)
         joint = bounds_mod.pair_joint_moments(g, census=census)
         for (v, w), expected in joint.items():
-            j = int(g.has_edge(v, w))
-            a0 = bounds_mod.alpha(g, stats, v, w, 0, j)
-            a1 = bounds_mod.alpha(g, stats, v, w, 1, j)
-            if not (0 <= a0 <= 1 and 0 <= a1 <= 1):
+            j = int(w in g.adjacency[v])
+            n0, d0 = bounds_mod.alpha(g, stats, v, w, 0, j).as_integer_ratio()
+            n1, d1 = bounds_mod.alpha(g, stats, v, w, 1, j).as_integer_ratio()
+            if not (0 <= n0 <= d0 and 0 <= n1 <= d1):
                 failures.append(f"{name}: alpha outside [0,1] for pair ({v},{w})")
-            if Fraction(1, 2) * (a0 + a1) != expected:
+            ne, de = expected.as_integer_ratio()
+            if (n0 * d1 + n1 * d0) * de != 2 * ne * d0 * d1:  # a0 + a1 != 2 * expected
                 failures.append(f"{name}: pair ({v},{w}) alpha average != E[Iv Iw]")
             checked += 1
     return _result("alpha-pair-moments", failures, f"{checked} pairs")

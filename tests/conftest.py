@@ -5,7 +5,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from mixspec import bounds, enumeration, graph
+from mixspec import bounds, enumeration, families, graph, verify
 from mixspec.graph import BLACK, WHITE, Graph, build_graph
 
 
@@ -30,13 +30,20 @@ def graph_with_coloring(draw, max_vertices: int = 8):
     return g, tuple(colors)
 
 
-# One-line mutants of the column kernel and its users: (module, source, mutated
-# source).  Each must fail a reference that the unmutated code passes.
+# One-line mutants of the fast paths: (module, source, mutated source).  Each
+# must fail a reference that the unmutated code passes.
 KERNEL_MUTANTS = {
     "strict-compare": (graph, "at_least = full\n", "at_least = 0\n"),
     "carry-dropped": (graph, "planes.append(0)", "break"),
     "pendant-uncomplemented": (bounds, "columns[p] = full ^ columns[q]", "columns[p] = columns[q]"),
     "scan-keeps-wrong-half": (enumeration, "splits & planes[i]", "splits & ~planes[i]"),
+    # Caught by the cycle check's pmf comparison.
+    "lane-sum-or": (verify, "columns[u] ^ columns[w]", "columns[u] | columns[w]"),
+    # Caught by test_alpha_matches_nested_loop.
+    "alpha-step-flipped": (bounds, "step = 1 if i else -1", "step = -1 if i else -1"),
+    # Caught by the cycle check's tiling comparison.
+    "tiling-skips-a-piece": (
+        families, "for p in reversed(WIRE_PIECES)]", "for p in reversed(WIRE_PIECES[1:])]"),
 }
 
 

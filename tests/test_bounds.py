@@ -190,8 +190,10 @@ def test_alpha_runs_once_per_pair_type(g, calls, monkeypatch):
     assert len(seen) == calls
 
 
-def test_alpha_matches_nested_loop():
-    checked = 0
+def _alpha_against_nested_loop() -> tuple[int, int]:
+    """How many (pair, i) cases of PAIR_SUM_GRAPHS ``bounds.alpha`` was
+    compared on, and on how many it differed from the nested loop."""
+    checked = wrong = 0
     for _, g in PAIR_SUM_GRAPHS:
         stats = neighborhood_stats(g)
         members = sorted(stats.v_double_prime)
@@ -199,9 +201,21 @@ def test_alpha_matches_nested_loop():
             for w in members[a_idx + 1 :]:
                 j = int(g.has_edge(v, w))
                 for i in (0, 1):
-                    assert alpha(g, stats, v, w, i, j) == _alpha_nested(g, stats, v, w, i, j)
+                    got = bounds.alpha(g, stats, v, w, i, j)
+                    wrong += got != _alpha_nested(g, stats, v, w, i, j)
                     checked += 1
+    return checked, wrong
+
+
+def test_alpha_matches_nested_loop():
+    checked, wrong = _alpha_against_nested_loop()
+    assert wrong == 0
     assert checked > 5000
+
+
+def test_alpha_step_mutant_fails_the_nested_loop(monkeypatch):
+    install_mutant(monkeypatch, "alpha-step-flipped")
+    assert _alpha_against_nested_loop()[1] > 0
 
 
 def test_bound_general_square():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -211,6 +212,47 @@ def test_necklace_set_equals_enumeration():
         necklaces = list(necklace_enumerate(n))
         assert len(necklaces) == len(set(necklaces)) == ic_cycle(n)
         assert set(necklaces) == set(enumerate_integrated(cycle_graph(n)))
+
+
+def _necklace_recursive(n: int):
+    """Reference: the first piece and the offset of vertex 0 in it, then the
+    rest tiled linearly by recursive generators."""
+
+    def linear_tilings(remaining: int):
+        if remaining == 0:
+            yield ()
+            return
+        for piece in WIRE_PIECES:
+            if len(piece) <= remaining:
+                for rest in linear_tilings(remaining - len(piece)):
+                    yield piece + rest
+
+    for first in WIRE_PIECES:
+        for offset in range(len(first)):
+            for rest in linear_tilings(n - len(first)):
+                word = first + rest
+                yield word[offset:] + word[:offset]
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_necklace_sequence_matches_the_recursive_reference(n):
+    assert list(necklace_enumerate(n)) == list(_necklace_recursive(n))
+
+
+def test_necklace_memory_stays_flat():
+    # Per-length word lists would hold every tiling of up to 18 vertices.  An
+    # untraced first pass fills the interpreter's free list of 20-tuples,
+    # which the traced pass would otherwise count.
+    for _ in necklace_enumerate(20):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in necklace_enumerate(20):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_necklace_cap():

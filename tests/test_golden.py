@@ -151,6 +151,8 @@ CASES: dict[str, tuple[str, str | None, int, str]] = {
     "verify-small": ("verify --max-n 6 --random-count 5", None, 0, "d82cdf4c33b0bfc87ea679cf00ad02905f09933f69b969180a0b76e0e07c0fa2"),
     # 90 oracle graphs and 2025 V'' pairs for the semi-random oracles.
     "verify-oracles": ("verify --max-n 8 --random-count 40", None, 0, "4019111df35c3c669c297608900e8eb0b1c44decbbb55c1c229f015b92818ad9"),
+    # The defaults: the ring check up to C_12 and alpha on the 100-graph random corpus.
+    "verify-default": ("verify", None, 0, "16d227de841f753245b2b27701b2dfa80ccb8610d952ce4e5892626de878012d"),
 }
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
 
 from mixspec import bounds, families, verify
 from mixspec.corpus import family_corpus, random_corpus, standard_corpus
-from mixspec.graph import BLACK, is_connected
+from mixspec.enumeration import enumerate_integrated
+from mixspec.graph import BLACK, cycle_graph, is_connected, mix_of_coloring
 from mixspec.verify import run_checks
+
+from conftest import graphs, install_mutant
 
 
 def test_run_checks_all_pass():
@@ -75,6 +81,20 @@ def test_census_short_of_one_draw_fails_the_oracle_checks(monkeypatch):
     assert _failed() == {"bound-moments-and-soundness", "alpha-pair-moments"}
 
 
+@pytest.mark.parametrize(
+    ("shift", "detail"),
+    [(Fraction(1, 1 << 40), "alpha average != E[Iv Iw]"), (Fraction(1), "alpha outside [0,1]")],
+    ids=["average", "range"],
+)
+def test_alpha_made_wrong_fails_the_pair_check(monkeypatch, shift, detail):
+    # The pair check compares numerators and cross products, not Fractions.
+    corpus = verify._bound_corpus(10)
+    real = bounds.alpha
+    monkeypatch.setattr(bounds, "alpha", lambda g, s, v, w, i, j: real(g, s, v, w, i, j) + i * shift)
+    result = verify.check_alpha_pairs(corpus)
+    assert not result.passed and detail in result.detail
+
+
 def test_shifted_cycle_pmf_fails_the_cycle_check(monkeypatch):
     real = families.cycle_pmf
 
@@ -108,10 +128,44 @@ def test_search_short_of_one_coloring_fails_the_cycle_check(monkeypatch):
 
 
 def test_mix_off_by_one_fails_the_cycle_check(monkeypatch):
-    # The Propp check reads the mix too, but only compares two of its values.
-    real = verify.mix_of_coloring
-    monkeypatch.setattr(verify, "mix_of_coloring", lambda g, c: real(g, c) + 1)
+    # The ring check's own mix count, every mix shifted by one.
+    real = verify._ring_mixes
+    monkeypatch.setattr(
+        verify, "_ring_mixes",
+        lambda g, found: Counter({mix + 1: c for mix, c in real(g, found).items()}))
     assert _failed() == {"cycles"}
+
+
+def _packed(g) -> bytearray:
+    found = bytearray()
+    for c in enumerate_integrated(g):
+        found += bytes(c)
+    return found
+
+
+@given(graphs(max_vertices=12))
+@settings(max_examples=60, deadline=None)
+def test_lane_mix_count_matches_the_set_based_mix(g):
+    expected = Counter(mix_of_coloring(g, c) for c in enumerate_integrated(g))
+    assert verify._ring_mixes(g, _packed(g)) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_lane_mix_count_matches_the_set_based_mix_on_rings(n):
+    g = cycle_graph(n)
+    expected = Counter(mix_of_coloring(g, c) for c in enumerate_integrated(g))
+    assert verify._ring_mixes(g, _packed(g)) == expected
+
+
+@pytest.mark.parametrize(
+    ("mutant", "detail"),
+    [("lane-sum-or", "pmf mismatch"), ("tiling-skips-a-piece", "necklace tiling disagrees")],
+)
+def test_ring_mutants_fail_the_cycle_check(monkeypatch, mutant, detail):
+    # C_11 and up have middles on the tiling stack.
+    install_mutant(monkeypatch, mutant)
+    result = verify.check_cycles(12)
+    assert not result.passed and detail in result.detail
 
 
 def test_cycle_check_holds_only_packed_colorings():
