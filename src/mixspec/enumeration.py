@@ -20,12 +20,13 @@ once on truth-table columns, their cut sizes in bit-sliced planes.
 cheapest engine that applies: the closed forms for complete graphs and
 bicliques, then a DP over the frontier of a vertex order
 (``_frontier_counts``, the transfer-matrix method run over a path
-decomposition), then the search.  The DP takes id order or the greedy
-order, whichever bounds its states lower, and runs only when that bound is
-within ``FRONTIER_STATE_BUDGET``.  The CLI's histograms go through it;
-``verify`` and the tests keep calling ``mix_histogram``, so the search stays
-the oracle for both fast engines.  Both return ``MixHistogram``, the one
-exact-law type, as do the path and ring closed forms in ``families``.
+decomposition), then the search.  The DP runs along the greedy
+minimum-frontier order, and only when the walk that builds the order keeps
+its bound on the DP's states within ``FRONTIER_STATE_BUDGET``.  The CLI's
+histograms go through it; ``verify`` and the tests keep calling
+``mix_histogram``, so the search stays the oracle for both fast engines.
+Both return ``MixHistogram``, the one exact-law type, as do the path and
+ring closed forms in ``families``.
 """
 
 from __future__ import annotations
@@ -237,25 +238,34 @@ def _closed_form_counts(g: Graph) -> dict[int, int] | None:
     return None
 
 
-def _greedy_order(g: Graph) -> list[int]:
-    """The greedy minimum-frontier order, in O(m log n).
+def _frontier_order(g: Graph) -> list[int] | None:
+    """The greedy minimum-frontier order, in O(m log n), or None as soon as
+    the bound on the DP's states along it passes ``FRONTIER_STATE_BUDGET``.
 
     The frontier after placing a prefix of the order is the set of placed
     vertices with an unplaced neighbor.  Next comes the frontier's neighbor
     that leaves it smallest, the lower id on a tie, or a vertex of least
     degree when the frontier is empty.  Scores only fall, so a candidate's
     newest heap entry is its lowest; older ones surface after it is placed.
+    The bound is the product, over the frontier, of 2 colors times the values
+    still possible for how many more opposite neighbors the vertex needs.
+    Placing v changes only the factors of v and its placed neighbors.
     """
     adjacency = g.adjacency
+    half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
     unplaced = [len(nbrs) for nbrs in adjacency]
     placed = [False] * g.vertex_count
     closes = [0] * g.vertex_count  # placed vertices whose last unplaced neighbor is v
     starts = iter(sorted(range(g.vertex_count), key=lambda v: (unplaced[v], v)))
     heap: list[tuple[int, int]] = []
     order: list[int] = []
+    states = 1
 
     def push(v: int) -> None:
         heapq.heappush(heap, ((unplaced[v] > 0) - closes[v], v))
+
+    def factor(u: int) -> int:
+        return 2 * (min(half[u], unplaced[u]) + 1) if unplaced[u] else 1
 
     for _ in range(g.vertex_count):
         while heap and placed[heap[0][1]]:
@@ -264,52 +274,22 @@ def _greedy_order(g: Graph) -> list[int]:
         order.append(v)
         placed[v] = True
         for w in adjacency[v]:
-            unplaced[w] -= 1
-            if not placed[w]:
+            if placed[w]:
+                states //= factor(w)
+                unplaced[w] -= 1
+                states *= factor(w)
+            else:
+                unplaced[w] -= 1
                 push(w)
+        states *= factor(v)
+        if states > FRONTIER_STATE_BUDGET:
+            return None
         for u in (v, *adjacency[v]):
             if placed[u] and unplaced[u] == 1:
                 last = next(w for w in adjacency[u] if not placed[w])
                 closes[last] += 1
                 push(last)
     return order
-
-
-def _state_bound(g: Graph, order: list[int]) -> int:
-    """The largest bound on the DP's states along ``order``.
-
-    The bound at each step is the product, over the frontier, of 2 colors
-    times the values still possible for how many more opposite neighbors the
-    vertex needs.  The walk stops once it passes ``FRONTIER_STATE_BUDGET``.
-    """
-    adjacency = g.adjacency
-    half = [(len(nbrs) + 1) // 2 for nbrs in adjacency]
-    unplaced = [len(nbrs) for nbrs in adjacency]
-    frontier: set[int] = set()
-    bound = 0
-    for v in order:
-        for w in adjacency[v]:
-            unplaced[w] -= 1
-            if unplaced[w] == 0:
-                frontier.discard(w)
-        if unplaced[v]:
-            frontier.add(v)
-        states = 1
-        for u in frontier:
-            states *= 2 * (min(half[u], unplaced[u]) + 1)
-        bound = max(bound, states)
-        if bound > FRONTIER_STATE_BUDGET:
-            break
-    return bound
-
-
-def _frontier_order(g: Graph) -> list[int] | None:
-    """Id order or the greedy order, whichever has the smaller state bound
-    (id order on a tie), or None when even that bound passes the budget."""
-    by_id, greedy = list(range(g.vertex_count)), _greedy_order(g)
-    bound_id, bound_greedy = _state_bound(g, by_id), _state_bound(g, greedy)
-    order, bound = (by_id, bound_id) if bound_id <= bound_greedy else (greedy, bound_greedy)
-    return order if bound <= FRONTIER_STATE_BUDGET else None
 
 
 def _frontier_counts(g: Graph, order: list[int]) -> dict[int, int]:

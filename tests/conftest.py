@@ -44,6 +44,16 @@ KERNEL_MUTANTS = {
     # Caught by the cycle check's tiling comparison.
     "tiling-skips-a-piece": (
         families, "for p in reversed(WIRE_PIECES)]", "for p in reversed(WIRE_PIECES[1:])]"),
+    # Caught by the small-scope table.
+    "dp-need-not-decremented": (enumeration, "need = max(need - 1, 0)", "need = max(need, 0)"),
+    # Caught by the small-scope table.
+    "dp-doubling-dropped": (enumeration, "count << doublings", "count"),
+    # Caught by test_greedy_order_matches_reference.
+    "greedy-score-negated": (
+        enumeration, "((unplaced[v] > 0) - closes[v], v)", "(closes[v] - (unplaced[v] > 0), v)"),
+    # Caught by test_greedy_order_matches_reference.
+    "gate-factor-drops-one": (
+        enumeration, "min(half[u], unplaced[u]) + 1", "min(half[u], unplaced[u])"),
 }
 
 

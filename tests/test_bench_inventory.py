@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -18,11 +19,21 @@ from pathlib import Path
 import pytest
 
 from mixspec.cli import main
+from mixspec.enumeration import _closed_form_counts, _frontier_order
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
-layers = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(layers)
+
+
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = _load_bench("layers")
+workloads = _load_bench("workloads")
 
 
 def _resolve(name: str):
@@ -54,14 +65,14 @@ def test_generator_name_is_a_generator_function(name):
     assert inspect.isgeneratorfunction(_resolve(name)), name
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
     """Wrap ``mixspec.<name>`` wherever a mixspec module holds it, as the
-    traced run does, and return the list each call appends to."""
+    traced run does, and return the list each call appends its arguments to."""
     original = _resolve(name)
-    calls: list[int] = []
+    calls: list[tuple] = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -100,3 +111,35 @@ def test_large_n_count_layers_are_reached(monkeypatch, capsys, metrics, name, ar
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert calls, f"{argv!r} no longer reaches {name}, which feeds {metrics}"
+
+
+# The engine that answers each ``exhaustive`` request at the default seed, as
+# ``exact_histogram`` picks it.  A gate change that moves benchmark traffic
+# from one engine to another has to say so here.
+_EXHAUSTIVE_ENGINES = {
+    "spectrum-cycle-24": "frontier DP",
+    "spectrum-complete-16": "closed form",
+    "spectrum-gnp-22": "search",
+    "pmf-sparse-22": "frontier DP",
+    "moments-grid-4x6": "frontier DP",
+    "bound-exact-sparse-20": "frontier DP",
+}
+
+
+def _engine(g) -> str:
+    if _closed_form_counts(g) is not None:
+        return "closed form"
+    return "frontier DP" if _frontier_order(g) is not None else "search"
+
+
+def test_exhaustive_requests_keep_their_engines(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "enumeration.exact_histogram")
+    engines = {}
+    for request in workloads.build("exhaustive", 1):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(request.stdin or ""))
+        assert main(list(request.argv)) == 0, request.rid
+        capsys.readouterr()
+        if calls:
+            engines[request.rid] = {_engine(args[0]) for args in calls}
+            calls.clear()
+    assert engines == {rid: {engine} for rid, engine in _EXHAUSTIVE_ENGINES.items()}

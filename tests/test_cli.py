@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from mixspec import cli, families, genfunc
 from mixspec.cli import main
+
+from test_golden import CASES
 
 
 def run_cli(capsys, *argv: str, stdin: str | None = None, monkeypatch=None) -> tuple[int, str, str]:
@@ -442,6 +445,20 @@ def test_gf_row_at_8000_fits_one_gigabyte():
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert json.loads(proc.stdout)["count"] == str(families.ic_path(8000))
+
+
+def test_library_runs_on_the_standard_library_alone():
+    # ``-S`` skips site-packages: no third-party module can be imported.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv, _, code, digest = CASES["verify-small"]
+    proc = subprocess.run([sys.executable, "-S", "-m", "mixspec.cli", *argv.split()],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    script = "import sys, mixspec.cli; print(*sorted({m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert set(proc.stdout.split()) - set(sys.stdlib_module_names) <= {"mixspec", "__main__"}
 
 
 def test_out_of_memory_exit3(capsys, monkeypatch, feed_stdin):

@@ -19,8 +19,6 @@ from mixspec.enumeration import (
     _closed_form_counts,
     _frontier_counts,
     _frontier_order,
-    _greedy_order,
-    _state_bound,
     exact_histogram,
     mix_histogram,
 )
@@ -35,7 +33,7 @@ from mixspec.graph import (
     petersen_graph,
 )
 
-from conftest import graphs
+from conftest import graphs, install_mutant
 
 
 def _gnp(seed: int, n: int, p: float) -> Graph:
@@ -269,37 +267,50 @@ def _order_cases():
     yield from (_grid(3, 60), path_graph(500), cycle_graph(400), _star_plus_edge(1500))
 
 
+def _gated_reference(g: Graph) -> list[int] | None:
+    """The reference greedy order when its reference bound fits the budget."""
+    order = _reference_greedy(g)
+    return order if _reference_profile(g, order)[1] <= FRONTIER_STATE_BUDGET else None
+
+
+def _random_gnp(count: int) -> list[Graph]:
+    # Seeded G(n <= 24, p): some fit the budget, and some pass it.
+    rng = random.Random(0)
+    return [_gnp(rng.getrandbits(32), rng.randint(1, 24), rng.choice((0.1, 0.15, 0.2, 0.3, 0.5)))
+            for _ in range(count)]
+
+
+def _gate_cases():
+    yield from _order_cases()
+    yield from _random_gnp(3000)
+
+
 def test_greedy_order_matches_reference():
     for g in _order_cases():
-        assert _greedy_order(g) == _reference_greedy(g)
+        assert _frontier_order(g) == _gated_reference(g)
+
+
+def test_state_bound_matches_reference_within_budget():
+    # The gate gives up exactly when the reference bound of the greedy order
+    # passes the budget; the cases land on both sides of it.
+    dense = [_gnp(seed, 22, 0.5) for seed in range(3)] + [_gnp(seed, 16, 0.3) for seed in range(3)]
+    cases = _random_gnp(3000) + dense
+    gated = [_gated_reference(g) for g in cases]
+    assert any(order is None for order in gated) and any(order is not None for order in gated)
+    for g, expected in zip(cases, gated):
+        assert _frontier_order(g) == expected
+
+
+@pytest.mark.parametrize("mutant", ["greedy-score-negated", "gate-factor-drops-one"])
+def test_gate_mutants_fail_the_reference(monkeypatch, mutant):
+    install_mutant(monkeypatch, mutant)
+    assert any(enumeration._frontier_order(g) != _gated_reference(g) for g in _gate_cases())
 
 
 @given(graphs(12))
 @settings(max_examples=200, deadline=None)
-def test_greedy_order_matches_reference_on_random_graphs(g):
-    assert _greedy_order(g) == _reference_greedy(g)
-
-
-def test_state_bound_matches_reference_within_budget():
-    dense = [_gnp(seed, 22, 0.5) for seed in range(3)] + [_gnp(seed, 16, 0.3) for seed in range(3)]
-    for g in list(_order_cases()) + dense:
-        for order in (list(range(g.vertex_count)), _reference_greedy(g)):
-            expected = _reference_profile(g, order)[1]
-            if expected <= FRONTIER_STATE_BUDGET:
-                assert _state_bound(g, order) == expected
-            else:
-                assert _state_bound(g, order) > FRONTIER_STATE_BUDGET
-
-
-def test_order_with_the_smaller_bound_is_chosen():
-    for g in _order_cases():
-        by_id = list(range(g.vertex_count))
-        greedy = _reference_greedy(g)
-        bound_id, bound_greedy = _reference_profile(g, by_id)[1], _reference_profile(g, greedy)[1]
-        if min(bound_id, bound_greedy) > FRONTIER_STATE_BUDGET:
-            assert _frontier_order(g) is None
-        else:
-            assert _frontier_order(g) == (by_id if bound_id <= bound_greedy else greedy)
+def test_frontier_order_matches_reference_on_random_graphs(g):
+    assert _frontier_order(g) == _gated_reference(g)
 
 
 def test_order_scales_past_a_hub():
